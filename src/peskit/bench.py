@@ -31,7 +31,7 @@ from .quantum import QuantumKernel, build_fixed_ansatz
 
 __all__ = ["ConfigError", "ComputeError", "ExperimentConfig", "ResultRow",
            "ResultTable", "FAMILIES", "run_interpolation", "run_extrapolation",
-           "emit_reports", "load_dataset"]
+           "write_artifacts", "emit_reports", "load_dataset"]
 
 log = logging.getLogger(__name__)
 
@@ -178,9 +178,7 @@ def _fit_rbf(train, cfg, seed):
 
     res = maximize(objective, SearchSpace.from_params(pv), cfg.classical_budget,
                    seed=stable_seed(seed, "rbf"), warm_start=pv.values)
-    params = pv.with_values(res.best_point)
-    score = ModelScore.from_logL(res.best_value, pv.size, train.n)
-    return kernel, params, score, None, serialize(expr)
+    return kernel, pv.with_values(res.best_point), None, serialize(expr)
 
 
 def _fit_composite(train, cfg, seed):
@@ -191,11 +189,7 @@ def _fit_composite(train, cfg, seed):
                                  max_depth=cfg.max_depth, seed=seed,
                                  sigma_n=cfg.sigma_n, jitter=cfg.jitter)
     expr, params, trace = search_classical(train, scfg)
-    kernel = ClassicalKernel(expr=expr)
-    logL = log_marginal_likelihood(kernel, params, train.X, train.y,
-                                   sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    score = ModelScore.from_logL(logL, params.size, train.n)
-    return kernel, params, score, trace, serialize(expr)
+    return ClassicalKernel(expr=expr), params, trace, serialize(expr)
 
 
 def _fit_nngp(train, cfg, seed):
@@ -203,12 +197,9 @@ def _fit_nngp(train, cfg, seed):
                             max_depth=cfg.nngp_max_depth, seed=seed,
                             sigma_n=cfg.sigma_n, jitter=cfg.jitter)
     kernel, params, trace = search_depth(train, ncfg)
-    logL = log_marginal_likelihood(kernel, params, train.X, train.y,
-                                   sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    score = ModelScore.from_logL(logL, params.size, train.n)
     winner = json.dumps({"depth": kernel.depth,
                          "params": params.values.tolist()})
-    return kernel, params, score, trace, winner
+    return kernel, params, trace, winner
 
 
 def _fit_quantum_fixed(train, cfg, seed):
@@ -225,11 +216,7 @@ def _fit_quantum_fixed(train, cfg, seed):
     res = maximize(objective, SearchSpace.from_params(pv), cfg.final_budget,
                    seed=stable_seed(seed, "quantum-fixed"),
                    warm_start=pv.values)
-    params = pv.with_values(res.best_point)
-    logL = log_marginal_likelihood(kernel, params, train.X, train.y,
-                                   sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    score = ModelScore.from_logL(logL, pv.size, train.n)
-    return kernel, params, score, None, spec.to_json()
+    return kernel, pv.with_values(res.best_point), None, spec.to_json()
 
 
 def _fit_quantum_variable(train, cfg, seed):
@@ -239,11 +226,7 @@ def _fit_quantum_variable(train, cfg, seed):
                                max_depth=cfg.max_depth, seed=seed,
                                sigma_n=cfg.sigma_n, jitter=cfg.jitter)
     spec, params, trace = search_circuit(train, cfg.beam_width, qcfg)
-    kernel = QuantumKernel(spec)
-    logL = log_marginal_likelihood(kernel, params, train.X, train.y,
-                                   sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    score = ModelScore.from_logL(logL, params.size, train.n)
-    return kernel, params, score, trace, spec.to_json()
+    return QuantumKernel(spec), params, trace, spec.to_json()
 
 
 _FITTERS = {
@@ -263,9 +246,10 @@ def _run_cell(family, data, split, size, seed, cfg):
     # searches and scores operate on standardized targets; RMSE stays in cm^-1
     ys, mean, scale = standardize(train.y)
     train_std = Dataset(X=train.X, y=ys, source=train.source)
-    kernel, params, score, trace, winner = _FITTERS[family](train_std, cfg, seed)
+    kernel, params, trace, winner = _FITTERS[family](train_std, cfg, seed)
     gp = fit(kernel, params, train_std.X, train_std.y,
              sigma_n=cfg.sigma_n, jitter=cfg.jitter)
+    score = ModelScore.from_logL(gp.logL, params.size, train.n)
     n_test = int(split.test.size)
     err = (rmse(mean + scale * predict(gp, data.X[split.test]),
                 data.y[split.test])
@@ -310,6 +294,9 @@ def _size_tag(size):
 def run_interpolation(config: ExperimentConfig):
     """Random-split learning curves; identical splits across families per seed."""
     data = load_dataset(config.dataset)
+    for n_train in config.n_train:
+        if not 0 < n_train < data.n:
+            raise ConfigError(f"n_train={n_train} must be in (0, {data.n})")
     cells = []
     for family in config.families:
         for n_train in config.n_train:
@@ -352,17 +339,14 @@ def _write_trace(trace, path):
                 w.writerow([r.depth, r.logL, r.M, r.wall_time])
 
 
-def emit_reports(table: ResultTable, artifacts, outdir):
-    """Write results.csv, trace CSVs, winner serializations, and summary.txt."""
+def write_artifacts(artifacts, outdir):
+    """Write trace CSVs and winner serializations; return the paths written."""
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ComputeError(f"cannot create output directory {outdir}: {exc}")
     written = []
-    path = out / "results.csv"
-    table.to_csv(path)
-    written.append(path)
     for name, trace in artifacts.get("traces", {}).items():
         path = out / f"{name}.csv"
         _write_trace(trace, path)
@@ -372,10 +356,16 @@ def emit_reports(table: ResultTable, artifacts, outdir):
         path = out / f"winner_{family}.{suffix}"
         path.write_text(winner + "\n")
         written.append(path)
-    path = out / "summary.txt"
-    path.write_text(summarize(table))
-    written.append(path)
     return written
+
+
+def emit_reports(table: ResultTable, artifacts, outdir):
+    """Write the artifacts, results.csv and summary.txt."""
+    written = write_artifacts(artifacts, outdir)
+    out = Path(outdir)
+    table.to_csv(out / "results.csv")
+    (out / "summary.txt").write_text(summarize(table))
+    return written + [out / "results.csv", out / "summary.txt"]
 
 
 def summarize(table: ResultTable) -> str:

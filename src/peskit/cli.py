@@ -1,25 +1,26 @@
 """Command-line front end for kernel searches and benchmark runs.
 
+``fit`` and the ``search-*`` subcommands run the config's first
+(n_train, seed) cell through ``run_interpolation``, the path ``bench-interp``
+takes, so they reproduce its rows and winners. ``fit`` runs one cell per
+configured family; each search runs its own family's cell and writes that
+cell's trace and winner.
+
 Exit codes: 0 success, 2 config error, 3 data error, 4 compute failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import logging
 import sys
 from pathlib import Path
 
-from . import bench, circuit_search, kernel_search
-from .bench import (ComputeError, ConfigError, ExperimentConfig, ResultTable,
-                    emit_reports, load_dataset, run_extrapolation,
-                    run_interpolation, summarize)
-from .circuit_search import CircuitSearchConfig, search_circuit, trace_to_csv
-from .data import DataError, split_random
-from .kernel_search import ClassicalSearchConfig, search_classical
-from .kernels import serialize
-from .nngp import NNGPSearchConfig, search_depth
+from .bench import (ConfigError, ExperimentConfig, ResultTable, emit_reports,
+                    run_extrapolation, run_interpolation, summarize,
+                    write_artifacts)
+from .data import DataError
 
 log = logging.getLogger(__name__)
 
@@ -49,75 +50,27 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _train_subset(cfg: ExperimentConfig):
-    data = load_dataset(cfg.dataset)
-    seed = cfg.seeds[0]
-    n_train = cfg.n_train[0]
-    if n_train >= data.n:
-        raise ConfigError(f"n_train={n_train} too large for dataset of {data.n}")
-    split = split_random(data, n_train, seed=seed)
-    return data.subset(split.train), data.subset(split.test), seed
+def _first_cell(args) -> ExperimentConfig:
+    """The config narrowed to its first n_train and its first seed."""
+    cfg = _load_config(args)
+    cfg.n_train, cfg.seeds = cfg.n_train[:1], cfg.seeds[:1]
+    return cfg
 
 
 def cmd_fit(args):
-    cfg = _load_config(args)
-    data = load_dataset(cfg.dataset)
-    family, seed, n_train = cfg.families[0], cfg.seeds[0], cfg.n_train[0]
-    if n_train >= data.n:
-        raise ConfigError(f"n_train={n_train} too large for dataset of {data.n}")
-    split = split_random(data, n_train, seed=seed)
-    row, _, _ = bench._run_cell(family, data, split, n_train, seed, cfg)
-    print(f"family={family} rmse={row.rmse:.4f} criterion={row.criterion:.4f} "
-          f"M={row.M}")
+    table, _ = run_interpolation(_first_cell(args))
+    for row in table.rows:
+        print(f"family={row.family} rmse={row.rmse:.4f} "
+              f"criterion={row.criterion:.4f} M={row.M}")
     return EXIT_OK
 
 
-def cmd_search_classical(args):
-    cfg = _load_config(args)
-    train, _, seed = _train_subset(cfg)
-    scfg = ClassicalSearchConfig(budget=cfg.classical_budget,
-                                 final_budget=cfg.final_budget,
-                                 max_depth=cfg.max_depth, seed=seed,
-                                 sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    expr, params, trace = search_classical(train, scfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(out / f"trace_composite_{seed}.csv")
-    (out / "winner_composite.txt").write_text(serialize(expr) + "\n")
-    print(serialize(expr))
-    return EXIT_OK
-
-
-def cmd_search_quantum(args):
-    cfg = _load_config(args)
-    train, test, seed = _train_subset(cfg)
-    qcfg = CircuitSearchConfig(refine_budget=cfg.refine_budget,
-                               final_budget=cfg.final_budget,
-                               eps_beta=cfg.eps_beta, max_depth=cfg.max_depth,
-                               seed=seed, sigma_n=cfg.sigma_n,
-                               jitter=cfg.jitter, holdout=(test.X, test.y))
-    spec, params, trace = search_circuit(train, cfg.beam_width, qcfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_to_csv(trace, out / f"trace_quantum-variable_{seed}.csv")
-    (out / "winner_quantum-variable.json").write_text(spec.to_json() + "\n")
-    print(spec.to_json())
-    return EXIT_OK
-
-
-def cmd_search_nngp(args):
-    cfg = _load_config(args)
-    train, _, seed = _train_subset(cfg)
-    ncfg = NNGPSearchConfig(budget=cfg.nngp_budget,
-                            max_depth=cfg.nngp_max_depth, seed=seed,
-                            sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    kernel, params, trace = search_depth(train, ncfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    bench._write_trace(trace, out / f"trace_nngp_{seed}.csv")
-    doc = {"depth": kernel.depth, "params": params.values.tolist()}
-    (out / "winner_nngp.json").write_text(json.dumps(doc) + "\n")
-    print(json.dumps(doc))
+def cmd_search(args, family):
+    cfg = _first_cell(args)
+    cfg.families = [family]
+    _, artifacts = run_interpolation(cfg)
+    write_artifacts(artifacts, cfg.out_dir)
+    print(artifacts["winners"][family])
     return EXIT_OK
 
 
@@ -159,9 +112,10 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     handlers = {
         "fit": cmd_fit,
-        "search-classical": cmd_search_classical,
-        "search-quantum": cmd_search_quantum,
-        "search-nngp": cmd_search_nngp,
+        "search-classical": functools.partial(cmd_search, family="composite"),
+        "search-quantum": functools.partial(cmd_search,
+                                            family="quantum-variable"),
+        "search-nngp": functools.partial(cmd_search, family="nngp"),
         "bench-interp": cmd_bench_interp,
         "bench-extrap": cmd_bench_extrap,
     }

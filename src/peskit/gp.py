@@ -112,7 +112,8 @@ class KernelFn:
 
 @dataclass(frozen=True)
 class TrainedGP:
-    """Factorized training-set kernel matrix plus weight vector.
+    """Factorized training-set kernel matrix, weight vector and log marginal
+    likelihood, all from one Cholesky factor.
 
     Immutable after fit; concurrent predict calls are safe.
     """
@@ -124,6 +125,7 @@ class TrainedGP:
     params: ParamVector
     sigma_n: float
     jitter: float
+    logL: float
 
 
 @dataclass(frozen=True)
@@ -182,7 +184,11 @@ def _cholesky_with_jitter(A, jitter, cap=JITTER_CAP):
 
 def fit(kernel: KernelFn, params: ParamVector, X, y,
         sigma_n: float = 0.0, jitter: float = DEFAULT_JITTER) -> TrainedGP:
-    """Fit an exact GP: factorize K + sigma_n^2 I (+ jitter I) and solve for alpha."""
+    """Fit an exact GP: factorize K + sigma_n^2 I (+ jitter I), solve for alpha.
+
+    The log marginal likelihood -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi
+    comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1).
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if y.size != X.shape[0]:
@@ -194,8 +200,11 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     L, used_jitter = _cholesky_with_jitter(A, jitter)
     z = solve_triangular(L, y, lower=True)
     alpha = solve_triangular(L.T, z, lower=False)
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+    logL = float(-0.5 * y @ alpha - 0.5 * logdet
+                 - 0.5 * y.size * math.log(2.0 * math.pi))
     return TrainedGP(X=X, L=L, alpha=alpha, kernel=kernel, params=params,
-                     sigma_n=sigma_n, jitter=used_jitter)
+                     sigma_n=sigma_n, jitter=used_jitter, logL=logL)
 
 
 def predict(gp: TrainedGP, Xstar) -> np.ndarray:
@@ -211,12 +220,8 @@ def predict(gp: TrainedGP, Xstar) -> np.ndarray:
 def log_marginal_likelihood(kernel: KernelFn, params: ParamVector, X, y,
                             sigma_n: float = 0.0,
                             jitter: float = DEFAULT_JITTER) -> float:
-    """Type-II objective: -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi via Cholesky."""
-    gp = fit(kernel, params, X, y, sigma_n=sigma_n, jitter=jitter)
-    y = np.asarray(y, dtype=float).ravel()
-    n = y.size
-    logdet = 2.0 * float(np.sum(np.log(np.diag(gp.L))))
-    return float(-0.5 * y @ gp.alpha - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi))
+    """Type-II objective: the logL of ``fit`` on the same inputs."""
+    return fit(kernel, params, X, y, sigma_n=sigma_n, jitter=jitter).logL
 
 
 def surrogate_objective(logL: float, d: float = 1.0) -> float:

@@ -182,7 +182,8 @@ def test_cli_data_error_exit_code(tmp_path):
 def test_cli_compute_error_exit_code(tmp_path):
     # n_train larger than the dataset is caught as a config problem
     path = _write_config(tmp_path, n_train=[500])
-    assert cli.main(["fit", "--config", path]) == cli.EXIT_CONFIG
+    for command in ("fit", "bench-interp"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
 
 
 def test_cli_bench_interp_and_report(tmp_path, capsys):
@@ -224,3 +225,25 @@ def test_cli_search_subcommands(tmp_path, capsys):
     assert cli.main(["search-nngp", "--config", path]) == cli.EXIT_OK
     doc = json.loads((out_dir / "winner_nngp.json").read_text())
     assert doc["depth"] >= 1
+
+
+def test_cli_fit_and_search_reproduce_bench_rows(tmp_path, capsys):
+    bench_dir, search_dir = tmp_path / "bench", tmp_path / "search"
+    path = _write_config(tmp_path, families=["rbf", "composite", "nngp"],
+                         seeds=[0, 1])
+    assert cli.main(["bench-interp", "--config", path, "--seed", "1",
+                     "--out", str(bench_dir)]) == cli.EXIT_OK
+    rows = ResultTable.from_csv(bench_dir / "results.csv").rows
+    capsys.readouterr()
+    assert cli.main(["fit", "--config", path, "--seed", "1"]) == cli.EXIT_OK
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [f"family={r.family} rmse={r.rmse:.4f} "
+                       f"criterion={r.criterion:.4f} M={r.M}" for r in rows]
+    for command, winner in (("search-classical", "winner_composite.txt"),
+                            ("search-nngp", "winner_nngp.json")):
+        assert cli.main([command, "--config", path, "--seed", "1",
+                         "--out", str(search_dir)]) == cli.EXIT_OK
+        assert (search_dir / winner).read_text() == \
+            (bench_dir / winner).read_text()
+    assert (search_dir / "trace_composite_40_1.csv").exists()
+    assert not (search_dir / "results.csv").exists()

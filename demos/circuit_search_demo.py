@@ -52,8 +52,8 @@ def main():
     spec, params, trace = search_circuit(train, 9, cfg)
     print("search trace (iteration, beta, layers, holdout RMSE):")
     for row in trace:
-        print(f"  {row.iteration}: beta={row.best_beta:8.2f}  "
-              f"[{row.layers or 'no appended layers'}]  "
+        print(f"  {row.iteration}: beta={row.criterion:8.2f}  "
+              f"[{row.winner or 'no appended layers'}]  "
               f"RMSE={row.rmse_holdout:.1f}")
 
     print(f"\nconverged circuit RMSE:   {holdout(spec, params.values):8.2f}")

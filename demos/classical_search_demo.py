@@ -33,8 +33,8 @@ def main():
     cfg = ClassicalSearchConfig(budget=30, final_budget=100, seed=0)
     expr, pv, trace = search_classical(train, cfg)
     print("search trace (iteration, BIC, kernel):")
-    for row in trace.rows:
-        print(f"  {row.iteration}: BIC={row.best_bic:9.2f}  {row.best_expr}")
+    for row in trace:
+        print(f"  {row.iteration}: BIC={row.criterion:9.2f}  {row.winner}")
     err = holdout_rmse(expr, pv, train, test, ys, mean, scale, p_scale)
     print(f"\ncomposite winner: {serialize(expr)}")
     print(f"composite holdout RMSE: {err:.2f} cm^-1")

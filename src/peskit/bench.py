@@ -17,12 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit_search, kernel_search, nngp
 from .circuit_search import CircuitSearchConfig, search_circuit
 from .data import Dataset, DataError, load_csv, split_energy_threshold, \
-    split_random, standardize, synth_pes
-from .gp import ModelScore, fit, log_marginal_likelihood, predict, rmse, \
-    surrogate_objective
+    split_random, standardize, synth_pes, write_rows
+from .gp import ModelScore, TraceRow, fit, log_marginal_likelihood, predict, \
+    rmse, surrogate_objective
 from .kernel_search import ClassicalSearchConfig, search_classical
 from .kernels import ClassicalKernel, Leaf, param_vector, serialize
 from .nngp import NNGPSearchConfig, search_depth
@@ -44,6 +43,11 @@ class ConfigError(RuntimeError):
 
 class ComputeError(RuntimeError):
     """A compute step failed fatally."""
+
+
+# smallest allowed value of each count in the config
+_LEAST = {"classical_budget": 1, "final_budget": 1, "nngp_budget": 1,
+          "nngp_max_depth": 1, "beam_width": 1, "refine_budget": 0}
 
 
 @dataclass
@@ -87,6 +91,10 @@ class ExperimentConfig:
             raise ConfigError("seeds list must be nonempty")
         if not isinstance(cfg.dataset, dict) or "kind" not in cfg.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' key")
+        for key, least in _LEAST.items():
+            value = getattr(cfg, key)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(f"{key} must be an integer >= {least}")
         return cfg
 
     @classmethod
@@ -138,15 +146,8 @@ class ResultRow:
 class ResultTable:
     rows: list = field(default_factory=list)
 
-    HEADER = ("family", "size", "seed", "rmse", "score", "criterion", "M",
-              "n_test", "wall_time")
-
     def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.HEADER)
-            for r in self.rows:
-                w.writerow([getattr(r, h) for h in self.HEADER])
+        write_rows(self.rows, ResultRow, path)
 
     @classmethod
     def from_csv(cls, path):
@@ -326,19 +327,6 @@ def run_extrapolation(config: ExperimentConfig):
 # ---------------------------------------------------------------------------
 # reports
 
-def _write_trace(trace, path):
-    if isinstance(trace, kernel_search.SearchTrace):
-        trace.to_csv(path)
-    elif trace and isinstance(trace[0], circuit_search.CircuitTraceRow):
-        circuit_search.trace_to_csv(trace, path)
-    else:  # NNGP depth trace
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["depth", "logL", "M", "wall_time"])
-            for r in trace:
-                w.writerow([r.depth, r.logL, r.M, r.wall_time])
-
-
 def write_artifacts(artifacts, outdir):
     """Write trace CSVs and winner serializations; return the paths written."""
     out = Path(outdir)
@@ -349,7 +337,7 @@ def write_artifacts(artifacts, outdir):
     written = []
     for name, trace in artifacts.get("traces", {}).items():
         path = out / f"{name}.csv"
-        _write_trace(trace, path)
+        write_rows(trace, TraceRow, path)
         written.append(path)
     for family, winner in artifacts.get("winners", {}).items():
         suffix = "json" if winner.lstrip().startswith("{") else "txt"

@@ -18,34 +18,23 @@ deterministic and order-independent.
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import standardize
-from .gp import (beta, fit, log_marginal_likelihood, predict, rmse,
-                 surrogate_objective)
+from .data import Dataset, standardize
+from .gp import (SearchTrace, TraceRow, beta, fit, log_marginal_likelihood,
+                 predict, rmse, surrogate_objective)
 from .optimizer import SENTINEL, SearchSpace, maximize, stable_seed
 from .quantum import QuantumKernel, QubitLayer, build_variable_ansatz
 
 __all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
-           "CircuitTraceRow", "involution_count", "layer_pool",
-           "search_moves", "extend",
-           "screen", "refine", "search_circuit", "canonical_layers",
-           "trace_to_csv"]
+           "involution_count", "layer_pool", "search_moves", "extend",
+           "screen", "refine", "search_circuit", "canonical_layers"]
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class _SearchData:
-    """Training view with standardized targets used inside the search."""
-
-    X: np.ndarray
-    y: np.ndarray
 
 
 def involution_count(n):
@@ -123,8 +112,6 @@ class Candidate:
 @dataclass
 class BeamState:
     candidates: list
-    iteration: int = 0
-    converged: bool = False
 
     def best(self) -> Candidate:
         return min(self.candidates, key=lambda c: c.key)
@@ -139,18 +126,7 @@ class CircuitSearchConfig:
     seed: int = 0
     sigma_n: float = 0.0
     jitter: float = 1e-10
-    d: float = 1.0  # surrogate offset in log(L + d)
     holdout: object = None  # optional (X_test, y_test) for the trace
-
-
-@dataclass(frozen=True)
-class CircuitTraceRow:
-    iteration: int
-    best_beta: float
-    best_logO: float
-    layers: str
-    rmse_holdout: float
-    wall_time: float
 
 
 def _log_o(layers, params, X, y, cfg):
@@ -163,7 +139,7 @@ def _log_o(layers, params, X, y, cfg):
     except Exception as exc:
         log.warning("scoring failed for [%s]: %s", canonical_layers(layers), exc)
         return SENTINEL
-    return surrogate_objective(logL, cfg.d)
+    return surrogate_objective(logL)
 
 
 def extend(beam: BeamState, moves):
@@ -250,31 +226,36 @@ def _holdout_rmse(best: Candidate, data, cfg, mean=0.0, scale=1.0):
 
 
 def search_circuit(data, M, config: CircuitSearchConfig | None = None):
-    """Beam search over gate-layer sequences; returns (spec, params, trace).
+    """Beam search over gate-layer sequences; returns (spec, params,
+    SearchTrace).
 
     The depth-0 circuit (no appended layers) is always scored as the
-    baseline and retained outside the beam width.
+    baseline and retained outside the beam width. Each trace row holds the
+    best circuit's layer string, logO as score and beta as criterion.
     """
     if M < 1:
         raise ValueError("beam width M must be >= 1")
     cfg = config or CircuitSearchConfig()
     m = data.X.shape[1]
     ys, mean, scale = standardize(data.y)
-    sdata = _SearchData(X=data.X, y=ys)
+    sdata = Dataset(X=data.X, y=ys, source=data.source)
     moves = search_moves(m)
     init = build_variable_ansatz(m, ()).default_params().values
 
     seeds = [Candidate(layers=(), params=init.copy(), protected=True)]
     seeds += [Candidate(layers=(layer,), params=init.copy()) for layer in moves]
 
-    trace = []
+    def row(iteration, n_candidates, best, t0):
+        return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
+                        best.log_o, best.beta_score, m + 1,
+                        _holdout_rmse(best, sdata, cfg, mean, scale),
+                        time.perf_counter() - t0)
+
+    trace = SearchTrace()
     t0 = time.perf_counter()
     beam = refine(screen(seeds, sdata, M, cfg), sdata, cfg)
     best = beam.best()
-    trace.append(CircuitTraceRow(0, best.beta_score, best.log_o,
-                                 canonical_layers(best.layers),
-                                 _holdout_rmse(best, sdata, cfg, mean, scale),
-                                 time.perf_counter() - t0))
+    trace.append(row(0, len(seeds), best, t0))
 
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
@@ -285,16 +266,10 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
         beam = refine(screen(beam.candidates + children, sdata, M, cfg),
                       sdata, cfg)
         new_best = beam.best()
-        trace.append(CircuitTraceRow(iteration, new_best.beta_score,
-                                     new_best.log_o,
-                                     canonical_layers(new_best.layers),
-                                     _holdout_rmse(new_best, sdata, cfg,
-                                                   mean, scale),
-                                     time.perf_counter() - t0))
+        trace.append(row(iteration, len(children), new_best, t0))
         improvement = new_best.beta_score - best.beta_score
         best = new_best
         if improvement < cfg.eps_beta:
-            beam.converged = True
             break
 
     # final re-optimization of the winner at the larger budget
@@ -321,12 +296,3 @@ def replace_candidate(c: Candidate, res):
     out.beta_score = c.beta_score + (res.best_value - c.log_o)
     return out
 
-
-def trace_to_csv(trace, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "best_beta", "best_logO", "layers",
-                    "rmse_holdout", "wall_time"])
-        for r in trace:
-            w.writerow([r.iteration, r.best_beta, r.best_logO, r.layers,
-                        r.rmse_holdout, r.wall_time])

@@ -12,13 +12,13 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 __all__ = ["Dataset", "Split", "DataError", "transform", "load_csv",
-           "split_random", "split_energy_threshold", "MorsePes", "synth_pes",
-           "standardize"]
+           "write_rows", "split_random", "split_energy_threshold", "MorsePes",
+           "synth_pes", "standardize"]
 
 
 def standardize(y):
@@ -147,6 +147,16 @@ def load_csv(path, a=None) -> Dataset:
     if a is None:
         a = default_transform_scale(str(path))
     return Dataset(X=transform(R, a), y=y, R=R, a=a, source=str(path))
+
+
+def write_rows(rows, cls, path):
+    """Write dataclass rows as CSV: one column per field of ``cls``, in order."""
+    names = [f.name for f in fields(cls)]
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(names)
+        for r in rows:
+            w.writerow([getattr(r, n) for n in names])
 
 
 def split_random(data: Dataset, n_train, seed) -> Split:

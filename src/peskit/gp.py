@@ -8,7 +8,7 @@ and the BIC / beta selection scores used by the kernel searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -18,6 +18,8 @@ __all__ = [
     "KernelFn",
     "TrainedGP",
     "ModelScore",
+    "TraceRow",
+    "SearchTrace",
     "KernelEvaluationError",
     "NotPositiveDefiniteError",
     "build_kernel_matrix",
@@ -144,6 +146,41 @@ class ModelScore:
         logO = surrogate_objective(logL, d)
         return cls(logL=logL, logO=logO, bic=bic(logL, M, N),
                    beta=beta(logO, M, N), M=M, N=N)
+
+
+@dataclass(frozen=True)
+class TraceRow:
+    """One step of a structure search: the best candidate after it.
+
+    ``score`` and ``criterion`` mean what they mean in a result row;
+    ``criterion`` is what the search ranks by (BIC, logL or beta).
+    ``rmse_holdout`` is NaN unless the circuit search is given a holdout.
+    """
+
+    iteration: int
+    n_candidates: int
+    winner: str
+    score: float
+    criterion: float
+    M: int
+    rmse_holdout: float
+    wall_time: float
+
+
+@dataclass
+class SearchTrace:
+    """The rows of one structure search, in iteration order."""
+
+    rows: list = field(default_factory=list)
+
+    def append(self, row: TraceRow):
+        self.rows.append(row)
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __iter__(self):
+        return iter(self.rows)
 
 
 def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:

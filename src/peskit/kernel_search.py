@@ -9,58 +9,27 @@ every candidate pool, so the best-BIC trace never decreases.
 
 from __future__ import annotations
 
-import csv
 import logging
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial.distance import pdist
 
 from .data import standardize
-from .gp import bic, log_marginal_likelihood
+from .gp import SearchTrace, TraceRow, bic, log_marginal_likelihood
 from .kernels import (ClassicalKernel, Prod, Sum, ensure_coef, new_leaf,
                       param_vector, serialize, with_params)
 from .optimizer import SearchSpace, maximize, stable_seed
 
-__all__ = ["DEFAULT_BASES", "ClassicalSearchConfig", "SearchTrace",
-           "TraceRow", "expand", "search_classical"]
+__all__ = ["DEFAULT_BASES", "ClassicalSearchConfig", "expand",
+           "search_classical"]
 
 log = logging.getLogger(__name__)
 
 # the five base families; Matern contributes its smoothness variants
 DEFAULT_BASES = ("RBF", "DOT", "RQ", "PER", "MAT12", "MAT32", "MAT52")
-
-
-@dataclass(frozen=True)
-class TraceRow:
-    iteration: int
-    n_candidates: int
-    best_expr: str
-    best_bic: float
-    best_logL: float
-    M: int
-    wall_time: float
-
-
-@dataclass
-class SearchTrace:
-    rows: list = field(default_factory=list)
-
-    def append(self, row: TraceRow):
-        self.rows.append(row)
-
-    def best_bics(self):
-        return [r.best_bic for r in self.rows]
-
-    def to_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iteration", "n_candidates", "bic", "logL", "M",
-                        "wall_time", "kernel"])
-            for r in self.rows:
-                w.writerow([r.iteration, r.n_candidates, r.best_bic,
-                            r.best_logL, r.M, r.wall_time, r.best_expr])
 
 
 @dataclass
@@ -121,7 +90,9 @@ def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
 def search_classical(data, config: ClassicalSearchConfig | None = None):
     """Run the greedy composite-kernel search on a training set.
 
-    Returns (best expression, fitted ParamVector, SearchTrace).
+    Returns (best expression, fitted ParamVector, SearchTrace); each trace
+    row's criterion is the step's best BIC and its score that candidate's
+    logL.
     """
     cfg = config or ClassicalSearchConfig()
     X = data.X
@@ -149,14 +120,15 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
     trace = SearchTrace()
     pool = [new_leaf(b, coef=1.0) for b in cfg.bases]
     best, n_cand, dt = score_pool(pool, None, 0)
-    trace.append(TraceRow(0, n_cand, serialize(best.expr), best.bic,
-                          best.logL, best.M, dt))
+    trace.append(TraceRow(0, n_cand, serialize(best.expr), best.logL,
+                          best.bic, best.M, math.nan, dt))
 
     for iteration in range(1, cfg.max_depth):
         pool = expand(best.expr, cfg.bases)
         new_best, n_cand, dt = score_pool(pool, best, iteration)
         trace.append(TraceRow(iteration, n_cand, serialize(new_best.expr),
-                              new_best.bic, new_best.logL, new_best.M, dt))
+                              new_best.logL, new_best.bic, new_best.M,
+                              math.nan, dt))
         improvement = new_best.bic - best.bic
         converged = improvement < max(cfg.eps_rel * abs(best.bic), cfg.eps_abs)
         best = new_best

@@ -8,24 +8,23 @@ training log-likelihood plateaus.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import standardize
-from .gp import KernelFn, ParamVector, log_marginal_likelihood
+from .gp import (KernelFn, ParamVector, SearchTrace, TraceRow,
+                 log_marginal_likelihood)
 from .optimizer import SearchSpace, maximize, stable_seed
 
-__all__ = ["NNGPKernel", "NNGPSearchConfig", "DepthTraceRow", "search_depth"]
-
-log = logging.getLogger(__name__)
+__all__ = ["NNGPKernel", "NNGPSearchConfig", "search_depth"]
 
 SIGMA_W_BOUNDS = (1e-2, 1e1)
 SIGMA_B_BOUNDS = (0.0, 1e1)
 _ARCSIN_TOL = 1e-12
+DEPTH_TOL = 0.5  # nats of logL improvement required to keep growing
 
 
 @dataclass(frozen=True)
@@ -87,29 +86,23 @@ class NNGPKernel(KernelFn):
 class NNGPSearchConfig:
     budget: int = 50
     max_depth: int = 6
-    tol: float = 0.5  # nats of logL improvement required to keep growing
     seed: int = 0
     sigma_n: float = 0.0
     jitter: float = 1e-10
 
 
-@dataclass(frozen=True)
-class DepthTraceRow:
-    depth: int
-    logL: float
-    M: int
-    wall_time: float
-
-
 def search_depth(data, config: NNGPSearchConfig | None = None):
     """Grow NNGP depth until the optimized logL stops improving.
 
-    Returns (kernel, fitted ParamVector, trace) for the best depth seen.
+    Returns (kernel, fitted ParamVector, SearchTrace) for the best depth
+    seen. Row L-1 holds depth L, with its logL as score and criterion.
     """
     cfg = config or NNGPSearchConfig()
+    if cfg.max_depth < 1:
+        raise ValueError("max_depth must be >= 1")
     X = data.X
     y, _, _ = standardize(data.y)
-    trace = []
+    trace = SearchTrace()
     best = None  # (logL, kernel, params)
     prev_logL = None
     warm = None
@@ -127,21 +120,17 @@ def search_depth(data, config: NNGPSearchConfig | None = None):
             return log_marginal_likelihood(kernel, pv.with_values(v), X, y,
                                            sigma_n=cfg.sigma_n, jitter=cfg.jitter)
 
-        try:
-            res = maximize(objective, SearchSpace.from_params(pv), cfg.budget,
-                           seed=stable_seed(cfg.seed, "nngp", L),
-                           warm_start=pv.values)
-        except Exception as exc:
-            log.warning("NNGP depth %d optimization failed: %s", L, exc)
-            break
+        res = maximize(objective, SearchSpace.from_params(pv), cfg.budget,
+                       seed=stable_seed(cfg.seed, "nngp", L),
+                       warm_start=pv.values)
         fitted = pv.with_values(res.best_point)
-        trace.append(DepthTraceRow(depth=L, logL=res.best_value,
-                                   M=fitted.size,
-                                   wall_time=time.perf_counter() - t0))
+        trace.append(TraceRow(L - 1, 1, str(L), res.best_value, res.best_value,
+                              fitted.size, math.nan,
+                              time.perf_counter() - t0))
         if best is None or res.best_value > best[0]:
             best = (res.best_value, kernel, fitted)
         warm = res.best_point
-        if prev_logL is not None and res.best_value - prev_logL < cfg.tol:
+        if prev_logL is not None and res.best_value - prev_logL < DEPTH_TOL:
             break
         prev_logL = res.best_value
     _, kernel, fitted = best

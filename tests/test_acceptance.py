@@ -251,7 +251,7 @@ def test_classical_trace_monotone(seed):
     cfg = ClassicalSearchConfig(budget=6, final_budget=6, max_depth=3,
                                 seed=seed)
     _, _, trace = search_classical(data, cfg)
-    bics = trace.best_bics()
+    bics = [r.criterion for r in trace]
     assert all(b >= a for a, b in zip(bics, bics[1:]))
 
 
@@ -261,7 +261,7 @@ def test_circuit_trace_monotone(seed):
     cfg = CircuitSearchConfig(refine_budget=8, final_budget=8, max_depth=3,
                               seed=seed, sigma_n=0.1)
     _, _, trace = search_circuit(data, 2, cfg)
-    betas = [r.best_beta for r in trace]
+    betas = [r.criterion for r in trace]
     assert all(b >= a for a, b in zip(betas, betas[1:]))
 
 
@@ -403,7 +403,7 @@ def test_composite_search_improves_on_single_bases():
                                     seed=stable_seed(seed, "cls"))
         expr, pv, trace = search_classical(train, cfg)
         # iteration 0 scores exactly the single-base pool
-        gains.append(trace.rows[-1].best_bic - trace.rows[0].best_bic)
+        gains.append(trace.rows[-1].criterion - trace.rows[0].criterion)
         comp_rmse.append(holdout(expr, pv))
 
         rbf_cfg = ClassicalSearchConfig(bases=("RBF",), max_depth=1,

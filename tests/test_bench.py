@@ -41,6 +41,12 @@ def test_config_rejects_unknown_and_missing_keys():
         ExperimentConfig.from_dict(_config(seeds=[]))
     with pytest.raises(ConfigError, match="dataset"):
         ExperimentConfig.from_dict(_config(dataset={"dims": 2}))
+    for key, bad in (("classical_budget", 0), ("final_budget", 0),
+                     ("nngp_budget", 0), ("nngp_max_depth", 0),
+                     ("beam_width", 0), ("refine_budget", -1),
+                     ("nngp_budget", "5")):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_dict(_config(**{key: bad}))
 
 
 def test_load_dataset_validation():

@@ -4,7 +4,7 @@ import pytest
 from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
                                    canonical_layers, extend, involution_count,
                                    layer_pool, refine, screen, search_circuit,
-                                   search_moves, trace_to_csv)
+                                   search_moves)
 from peskit.data import Dataset, synth_pes
 from peskit.quantum import QubitLayer, build_variable_ansatz
 
@@ -152,13 +152,13 @@ def test_search_is_deterministic():
     s2, p2, t2 = search_circuit(data, 2, _quick_cfg())
     assert s1 == s2
     assert np.array_equal(p1.values, p2.values)
-    assert [r.best_beta for r in t1] == [r.best_beta for r in t2]
+    assert [r.criterion for r in t1] == [r.criterion for r in t2]
 
 
 def test_search_trace_monotone_and_winner_beats_baseline():
     data = synth_pes(3, 80, seed=1).subset(range(60))
     _, _, trace = search_circuit(data, 3, _quick_cfg(seed=1))
-    betas = [r.best_beta for r in trace]
+    betas = [r.criterion for r in trace]
     assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
     # iteration 0 already includes the depth-0 baseline, so the final best
     # can never fall below it
@@ -179,7 +179,7 @@ def test_search_validates_beam_width():
         search_circuit(data, 0, _quick_cfg())
 
 
-def test_holdout_rmse_in_trace(tmp_path):
+def test_holdout_rmse_in_trace():
     data = synth_pes(3, 80, seed=3)
     train = data.subset(range(60))
     test = data.subset(range(60, 80))
@@ -188,8 +188,3 @@ def test_holdout_rmse_in_trace(tmp_path):
     assert all(np.isfinite(r.rmse_holdout) for r in trace)
     # holdout errors are in the raw energy units, not standardized ones
     assert all(r.rmse_holdout > 1.0 for r in trace)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,best_beta,best_logO,layers,rmse_holdout,wall_time"
-    assert len(lines) == len(trace) + 1

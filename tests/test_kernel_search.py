@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from peskit.data import synth_pes
+from peskit.circuit_search import CircuitSearchConfig, search_circuit
+from peskit.data import synth_pes, write_rows
+from peskit.gp import SearchTrace, TraceRow
 from peskit.kernel_search import (DEFAULT_BASES, ClassicalSearchConfig,
-                                  SearchTrace, TraceRow, expand,
-                                  search_classical)
+                                  expand, search_classical)
 from peskit.kernels import Leaf, Prod, Sum, new_leaf, serialize
+from peskit.nngp import NNGPSearchConfig, search_depth
 
 
 FAST = ClassicalSearchConfig(bases=("RBF", "DOT", "MAT52"), budget=8,
@@ -50,7 +52,7 @@ def test_search_returns_fitted_winner_and_trace():
 def test_search_best_bic_trace_is_monotone():
     data = synth_pes(2, 80, seed=1).subset(range(60))
     _, _, trace = search_classical(data, FAST)
-    bics = trace.best_bics()
+    bics = [r.criterion for r in trace]
     assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bics, bics[1:]))
 
 
@@ -60,17 +62,29 @@ def test_search_is_deterministic():
     e2, p2, t2 = search_classical(data, FAST)
     assert serialize(e1) == serialize(e2)
     assert np.array_equal(p1.values, p2.values)
-    assert t1.best_bics() == t2.best_bics()
+    assert [r.criterion for r in t1] == [r.criterion for r in t2]
 
 
-def test_trace_csv(tmp_path):
+SEARCHES = {
+    "classical": lambda data: search_classical(data, FAST),
+    "nngp": lambda data: search_depth(
+        data, NNGPSearchConfig(budget=8, max_depth=3, seed=0)),
+    "circuit": lambda data: search_circuit(
+        data, 2, CircuitSearchConfig(refine_budget=6, final_budget=6,
+                                     max_depth=3, seed=0, sigma_n=0.1)),
+}
+
+
+@pytest.mark.parametrize("search", SEARCHES)
+def test_trace_csv(tmp_path, search):
     data = synth_pes(2, 70, seed=3).subset(range(50))
-    _, _, trace = search_classical(data, FAST)
+    _, _, trace = SEARCHES[search](data)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path)
+    write_rows(trace, TraceRow, path)
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,n_candidates,bic,logL,M,wall_time,kernel"
-    assert len(lines) == len(trace.rows) + 1
+    assert lines[0] == ("iteration,n_candidates,winner,score,criterion,M,"
+                        "rmse_holdout,wall_time")
+    assert len(lines) == len(trace) + 1
 
 
 def test_default_bases_cover_the_five_families():

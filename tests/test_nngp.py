@@ -3,7 +3,8 @@ import pytest
 from scipy.special import erf
 
 from peskit.data import synth_pes
-from peskit.nngp import DepthTraceRow, NNGPKernel, NNGPSearchConfig, search_depth
+from peskit.gp import SearchTrace, TraceRow
+from peskit.nngp import NNGPKernel, NNGPSearchConfig, search_depth
 
 rng = np.random.default_rng(5)
 
@@ -21,6 +22,14 @@ def test_depth_validation_and_param_layout():
     assert pv.size == 6
     assert pv.names == ("sw_0", "sb_0", "sw_1", "sb_1", "sw_2", "sb_2")
     assert pv.scales[0] == "log" and pv.scales[1] == "linear"
+
+
+def test_search_depth_rejects_empty_search():
+    data = synth_pes(2, 30, seed=0)
+    with pytest.raises(ValueError, match="budget"):
+        search_depth(data, NNGPSearchConfig(budget=0))
+    with pytest.raises(ValueError, match="max_depth"):
+        search_depth(data, NNGPSearchConfig(max_depth=0))
 
 
 def test_gram_rejects_wrong_param_count():
@@ -101,10 +110,11 @@ def test_search_depth_returns_trace_and_is_deterministic():
     k2, p2, t2 = search_depth(data, cfg)
     assert k1.depth == k2.depth
     assert np.array_equal(p1.values, p2.values)
-    assert [r.logL for r in t1] == [r.logL for r in t2]
-    assert all(isinstance(r, DepthTraceRow) for r in t1)
-    assert [r.depth for r in t1] == list(range(1, len(t1) + 1))
-    assert all(r.M == 2 * (r.depth + 1) for r in t1)
+    assert [r.criterion for r in t1] == [r.criterion for r in t2]
+    assert isinstance(t1, SearchTrace)
+    assert all(isinstance(r, TraceRow) for r in t1)
+    assert [int(r.winner) for r in t1] == list(range(1, len(t1) + 1))
+    assert all(r.M == 2 * (int(r.winner) + 1) for r in t1)
     # the returned kernel is the best depth seen in the trace
-    best = max(t1, key=lambda r: r.logL)
-    assert k1.depth == best.depth
+    best = max(t1, key=lambda r: r.criterion)
+    assert k1.depth == int(best.winner)

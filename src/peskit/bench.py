@@ -14,6 +14,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -152,15 +153,12 @@ class ResultTable:
     @classmethod
     def from_csv(cls, path):
         table = cls()
+        types = get_type_hints(ResultRow)  # the declared types, not strings
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                table.rows.append(ResultRow(
-                    family=row["family"], size=float(row["size"]),
-                    seed=int(row["seed"]), rmse=float(row["rmse"]),
-                    score=float(row["score"]), criterion=float(row["criterion"]),
-                    M=int(row["M"]), n_test=int(row["n_test"]),
-                    wall_time=float(row["wall_time"])))
+            for row in csv.DictReader(fh):
+                table.rows.append(ResultRow(**{
+                    f.name: types[f.name](row[f.name])
+                    for f in fields(ResultRow)}))
         return table
 
 

@@ -7,6 +7,7 @@ and the BIC / beta selection scores used by the kernel searches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -91,6 +92,9 @@ class KernelFn:
 
     Subclasses implement ``eval`` (scalar) and may override ``gram`` with a
     vectorized path; the default gram loops over pairs.
+
+    ``gram`` must return a fresh float array that no one else holds:
+    ``build_kernel_matrix`` and ``fit`` overwrite it in place.
     """
 
     def eval(self, x, xp, params: ParamVector) -> float:
@@ -183,34 +187,56 @@ class SearchTrace:
         return iter(self.rows)
 
 
+@functools.lru_cache(maxsize=8)
+def _strict_lower(n):
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
-    """Assemble the N x N kernel matrix; exactly symmetric by mirroring."""
+    """Assemble the N x N kernel matrix; exactly symmetric by mirroring.
+
+    The matrix is the kernel's own Gram with its strict lower triangle
+    overwritten, in place, by the upper one. A non-finite entry raises
+    ``KernelEvaluationError`` naming the first offending pair.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
         raise ValueError("need at least one input row")
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input rows")
-    K = kernel.gram(X, X, params)
+    K = np.asarray(kernel.gram(X, X, params), dtype=float)
     if not np.all(np.isfinite(K)):
         i, j = np.argwhere(~np.isfinite(K))[0]
         raise KernelEvaluationError(
             f"kernel returned non-finite value at pair ({i}, {j})")
     # mirror the upper triangle so symmetry holds bitwise
-    upper = np.triu(K)
-    return upper + np.triu(K, 1).T
+    low = _strict_lower(K.shape[0])
+    K[low] = K.T[low]
+    return K
 
 
 def _cholesky_with_jitter(A, jitter, cap=JITTER_CAP):
-    """Cholesky of A + j*I, escalating j by 10x up to cap on failure."""
+    """Cholesky of A + j*I, escalating j by 10x up to cap on failure.
+
+    A is overwritten: each attempt sets its diagonal to d + j in place, d
+    being the diagonal on entry, so jitters never accumulate. At the cap
+    the diagonal is restored to d and the smallest eigenvalue of A is
+    reported.
+    """
     n = A.shape[0]
+    d = A.diagonal().copy()
     j = jitter
     while True:
+        if j > 0:
+            A.flat[::n + 1] = d + j
         try:
-            L = np.linalg.cholesky(A + j * np.eye(n) if j > 0 else A)
-            return L, j
+            return np.linalg.cholesky(A), j
         except np.linalg.LinAlgError:
             nxt = DEFAULT_JITTER if j == 0 else j * 10.0
             if nxt > cap:
+                A.flat[::n + 1] = d
                 min_eig = float(np.linalg.eigvalsh(A)[0])
                 raise NotPositiveDefiniteError(
                     f"factorization failed at jitter cap {cap:g}; "
@@ -224,19 +250,22 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     """Fit an exact GP: factorize K + sigma_n^2 I (+ jitter I), solve for alpha.
 
     The log marginal likelihood -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi
-    comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1).
+    comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1). The
+    Gram is assembled once and its diagonal shifted in place.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if y.size != X.shape[0]:
         raise ValueError(f"y length {y.size} does not match N={X.shape[0]}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("non-finite targets")
     if sigma_n < 0 or jitter < 0:
         raise ValueError("sigma_n and jitter must be non-negative")
-    K = build_kernel_matrix(kernel, params, X)
-    A = K + sigma_n ** 2 * np.eye(K.shape[0])
+    A = build_kernel_matrix(kernel, params, X)
+    A.flat[::A.shape[0] + 1] += sigma_n ** 2
     L, used_jitter = _cholesky_with_jitter(A, jitter)
-    z = solve_triangular(L, y, lower=True)
-    alpha = solve_triangular(L.T, z, lower=False)
+    z = solve_triangular(L, y, lower=True, check_finite=False)
+    alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     logL = float(-0.5 * y @ alpha - 0.5 * logdet
                  - 0.5 * y.size * math.log(2.0 * math.pi))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -175,33 +176,62 @@ def _leaf_scalar(leaf, x, xp):
     return eval_matern(x, xp, _MATERN_NU[k], p[0])
 
 
+class _Pairwise:
+    """Pairwise quantities of two input sets, each computed on first use."""
+
+    def __init__(self, X, X2):
+        self.X, self.X2 = X, X2
+
+    @cached_property
+    def d2(self):
+        return cdist(self.X, self.X2, "sqeuclidean")
+
+    @cached_property
+    def d(self):
+        return np.sqrt(np.maximum(self.d2, 0.0))
+
+    @cached_property
+    def dot(self):
+        return self.X @ self.X2.T
+
+
 def gram_expr(expr, X, X2):
-    """Vectorized Gram matrix of a kernel expression."""
+    """Vectorized Gram matrix of a kernel expression, as a fresh array."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-    d2 = cdist(X, X2, "sqeuclidean")
-    cache = {"d2": d2, "d": np.sqrt(np.maximum(d2, 0.0)), "dot": X @ X2.T}
-    return _gram_rec(expr, cache)
+    return _gram_rec(expr, _Pairwise(X, X2))
 
 
-def _gram_rec(expr, cache):
+def _gram_rec(expr, pw):
+    # every call returns a fresh array, so parents combine children in place
     c = 1.0 if expr.coef is None else expr.coef
     if isinstance(expr, Sum):
-        return c * (_gram_rec(expr.left, cache) + _gram_rec(expr.right, cache))
+        out = _gram_rec(expr.left, pw)
+        out += _gram_rec(expr.right, pw)
+        if c != 1.0:
+            out *= c
+        return out
     if isinstance(expr, Prod):
-        return c * _gram_rec(expr.left, cache) * _gram_rec(expr.right, cache)
+        out = _gram_rec(expr.left, pw)
+        if c != 1.0:
+            out *= c
+        out *= _gram_rec(expr.right, pw)
+        return out
     k, p = expr.kind, expr.params
     if k == "RBF":
-        out = np.exp(-p[0] * cache["d2"])
+        out = -p[0] * pw.d2
+        np.exp(out, out=out)
     elif k == "DOT":
-        out = cache["dot"].copy()
+        out = pw.dot.copy()
     elif k == "RQ":
-        out = (1.0 + cache["d2"] / (2.0 * p[0] * p[1] ** 2)) ** (-p[0])
+        out = (1.0 + pw.d2 / (2.0 * p[0] * p[1] ** 2)) ** (-p[0])
     elif k == "PER":
-        out = np.exp(-2.0 * np.sin(np.pi * cache["d"] / p[0]) ** 2 / p[1] ** 2)
+        out = np.exp(-2.0 * np.sin(np.pi * pw.d / p[0]) ** 2 / p[1] ** 2)
     else:
-        out = _matern_r(cache["d"] / p[0], _MATERN_NU[k])
-    return c * out
+        out = _matern_r(pw.d / p[0], _MATERN_NU[k])
+    if c != 1.0:
+        out *= c
+    return out
 
 
 # ---------------------------------------------------------------------------

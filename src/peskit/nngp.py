@@ -63,20 +63,30 @@ class NNGPKernel(KernelFn):
             raise ValueError(
                 f"depth {self.depth} NNGP needs {2 * (self.depth + 1)} parameters")
         D = X.shape[1]
+        # each layer updates K in place, in the operation order of
+        # K = sb2 + sw2 (2/pi) arcsin(clip(2 K / denom))
         sw2, sb2 = v[0] ** 2, v[1] ** 2
-        K = sb2 + sw2 * (X @ X2.T) / D
+        K = X @ X2.T
+        K *= sw2
+        K /= D
+        K += sb2
         kx = sb2 + sw2 * np.sum(X ** 2, axis=1) / D
         kx2 = sb2 + sw2 * np.sum(X2 ** 2, axis=1) / D
         for l in range(1, self.depth + 1):
             sw2, sb2 = v[2 * l] ** 2, v[2 * l + 1] ** 2
-            denom = np.sqrt(np.outer(1.0 + 2.0 * kx, 1.0 + 2.0 * kx2))
-            arg = 2.0 * K / denom
-            worst = np.max(np.abs(arg)) - 1.0
+            denom = np.outer(1.0 + 2.0 * kx, 1.0 + 2.0 * kx2)
+            np.sqrt(denom, out=denom)
+            K *= 2.0
+            K /= denom
+            del denom
+            worst = max(K.max(), -K.min()) - 1.0
             if worst > _ARCSIN_TOL:
                 raise FloatingPointError(
                     f"arcsin argument out of range by {worst:.3e}")
-            arg = np.clip(arg, -1.0, 1.0)
-            K = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(arg)
+            np.clip(K, -1.0, 1.0, out=K)
+            np.arcsin(K, out=K)
+            K *= sw2 * (2.0 / math.pi)
+            K += sb2
             kx = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(2.0 * kx / (1.0 + 2.0 * kx))
             kx2 = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(2.0 * kx2 / (1.0 + 2.0 * kx2))
         return K

@@ -15,13 +15,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.stats import norm, qmc
+from scipy.special import ndtr
+from scipy.stats import qmc
 
 __all__ = ["SearchSpace", "OptResult", "maximize", "stable_seed"]
 
 log = logging.getLogger(__name__)
 
 SENTINEL = -1e15
+_LENGTHSCALES = np.geomspace(0.05, 3.0, 8)  # surrogate grid
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def stable_seed(*parts) -> int:
@@ -106,13 +109,14 @@ def _surrogate_fit(Z, y):
         np.sum(Z ** 2, axis=1)[:, None] + np.sum(Z ** 2, axis=1)[None, :]
         - 2.0 * Z @ Z.T, 0.0))
     best = None
-    for ell in np.geomspace(0.05, 3.0, 8):
-        K = _matern52(D / ell) + 1e-8 * np.eye(n)
+    nugget = 1e-8 * np.eye(n)
+    for ell in _LENGTHSCALES:
+        K = _matern52(D / ell) + nugget
         try:
             L = np.linalg.cholesky(K)
         except np.linalg.LinAlgError:
             continue
-        z = solve_triangular(L, y, lower=True)
+        z = solve_triangular(L, y, lower=True, check_finite=False)
         lml = -0.5 * z @ z - np.sum(np.log(np.diag(L)))
         if best is None or lml > best[0]:
             best = (lml, ell, L)
@@ -129,11 +133,13 @@ def _expected_improvement(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
         - 2.0 * Zcand @ Z.T, 0.0))
     Ks = _matern52(d / ell)
     mu = Ks @ alpha
-    v = solve_triangular(L, Ks.T, lower=True)
+    v = solve_triangular(L, Ks.T, lower=True, check_finite=False)
     var = np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12)
     sd = np.sqrt(var)
     gamma = (mu - f_best - xi) / sd
-    return (mu - f_best - xi) * norm.cdf(gamma) + sd * norm.pdf(gamma)
+    # standard normal cdf and pdf, as scipy.stats.norm computes them
+    pdf = np.exp(-gamma ** 2 / 2.0) / _SQRT_2PI
+    return (mu - f_best - xi) * ndtr(gamma) + sd * pdf
 
 
 def _safe_eval(objective, x):
@@ -189,8 +195,9 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
         mu, sd = yc.mean(), yc.std()
         ys = (yc - mu) / (sd if sd > 0 else 1.0)
         ell, L = _surrogate_fit(Z, ys)
-        alpha = solve_triangular(L.T, solve_triangular(L, ys, lower=True),
-                                 lower=False)
+        alpha = solve_triangular(
+            L.T, solve_triangular(L, ys, lower=True, check_finite=False),
+            lower=False, check_finite=False)
         best_idx = int(np.argmax(y))
         # 64 uniform candidates plus local restarts around the incumbent
         cand = rng.random((64, P))

@@ -285,7 +285,9 @@ class QuantumKernel(KernelFn):
             V2 = V1
         else:
             V2 = statevectors(self.spec, params, X2a)
-        return np.abs(V1 @ V2.conj().T) ** 2
+        K = np.abs(V1 @ V2.conj().T)
+        K **= 2
+        return K
 
 
 def _pair_layers(pairs):

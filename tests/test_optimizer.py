@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
+from scipy.stats import norm
 
-from peskit.optimizer import (SENTINEL, OptResult, SearchSpace, maximize,
-                              stable_seed)
+from peskit.optimizer import (SENTINEL, OptResult, SearchSpace,
+                              _expected_improvement, _matern52,
+                              _surrogate_fit, maximize, stable_seed)
 
 
 def _space(dim=2, lo=0.0, hi=1.0):
@@ -132,3 +135,32 @@ def test_opt_result_carries_log():
     assert res.seed == 9
     i = int(np.argmax(res.values))
     assert res.best_value == res.values[i]
+
+
+def _ei_reference(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
+    # expected improvement through scipy.stats.norm
+    d = np.sqrt(np.maximum(
+        np.sum(Zcand ** 2, axis=1)[:, None] + np.sum(Z ** 2, axis=1)[None, :]
+        - 2.0 * Zcand @ Z.T, 0.0))
+    Ks = _matern52(d / ell)
+    mu = Ks @ alpha
+    v = solve_triangular(L, Ks.T, lower=True)
+    sd = np.sqrt(np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12))
+    gamma = (mu - f_best - xi) / sd
+    return (mu - f_best - xi) * norm.cdf(gamma) + sd * norm.pdf(gamma)
+
+
+def test_expected_improvement_bitwise_equals_scipy_norm():
+    rng = np.random.default_rng(7)
+    Z = rng.random((30, 3))
+    ys = np.sin(6.0 * Z).sum(axis=1)
+    ys = (ys - ys.mean()) / ys.std()
+    ell, L = _surrogate_fit(Z, ys)
+    alpha = solve_triangular(L.T, solve_triangular(L, ys, lower=True),
+                             lower=False)
+    Zc = np.vstack([rng.random((200, 3)), Z[:5]])
+    # incumbents from inside the data to far above it reach both tails
+    for f_best in (ys.min(), ys.max(), ys.max() + 5.0, ys.max() + 50.0):
+        got = _expected_improvement(Zc, Z, L, alpha, ell, f_best)
+        want = _ei_reference(Zc, Z, L, alpha, ell, f_best)
+        assert np.array_equal(got, want)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 __all__ = [
     "ParamVector",
@@ -245,6 +245,32 @@ def _cholesky_with_jitter(A, jitter, cap=JITTER_CAP):
             j = nxt
 
 
+def _trtrs(U, b, trans):
+    x, info = dtrtrs(U, b, lower=0, trans=trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return x
+
+
+def _solve_lower(L, b):
+    """Solve L x = b for a C-contiguous lower-triangular L.
+
+    This is the LAPACK call ``scipy.linalg.solve_triangular(L, b,
+    lower=True, check_finite=False)`` makes, without its wrapper's overhead.
+    """
+    return _trtrs(L.T, b, 1)
+
+
+def _solve_lower_t(L, b):
+    """Solve L^T x = b for a C-contiguous lower-triangular L, as
+    ``scipy.linalg.solve_triangular(L.T, b, lower=False,
+    check_finite=False)`` does."""
+    return _trtrs(L.T, b, 0)
+
+
 def fit(kernel: KernelFn, params: ParamVector, X, y,
         sigma_n: float = 0.0, jitter: float = DEFAULT_JITTER) -> TrainedGP:
     """Fit an exact GP: factorize K + sigma_n^2 I (+ jitter I), solve for alpha.
@@ -264,8 +290,7 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     A = build_kernel_matrix(kernel, params, X)
     A.flat[::A.shape[0] + 1] += sigma_n ** 2
     L, used_jitter = _cholesky_with_jitter(A, jitter)
-    z = solve_triangular(L, y, lower=True, check_finite=False)
-    alpha = solve_triangular(L.T, z, lower=False, check_finite=False)
+    alpha = _solve_lower_t(L, _solve_lower(L, y))
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     logL = float(-0.5 * y @ alpha - 0.5 * logdet
                  - 0.5 * y.size * math.log(2.0 * math.pi))

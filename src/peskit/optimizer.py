@@ -4,6 +4,12 @@ Space-filling Sobol initialization, a Matern-5/2 GP surrogate on the unit
 cube, and expected-improvement acquisition maximized by random multi-start.
 Deterministic given (seed, space, budget, objective); never returns a value
 below a supplied warm start.
+
+Each step builds the surrogate's Matern matrices for every lengthscale of
+its grid as one stacked array and factors them in one Cholesky call. The
+stack goes through the same elementwise operations as one matrix per
+lengthscale, and each slice of the stacked factor is the factor of that
+matrix alone, so the step is bitwise equal to a loop over lengthscales.
 """
 
 from __future__ import annotations
@@ -14,9 +20,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import ndtr
 from scipy.stats import qmc
+
+from .gp import _solve_lower, _solve_lower_t
 
 __all__ = ["SearchSpace", "OptResult", "maximize", "stable_seed"]
 
@@ -51,6 +58,16 @@ class SearchSpace:
                 raise ValueError("log-scale dimensions need positive bounds")
             if s not in ("linear", "log"):
                 raise ValueError(f"unknown scale {s!r}")
+        # unit-cube map: x = offset + z * width, and exp of that on log
+        # dimensions, whose offset and width come from the log bounds; log
+        # and exp act elementwise, so one call over all log dimensions
+        # equals one call per dimension
+        is_log = np.array([s == "log" for s in self.scales], dtype=bool)
+        lo, hi = self.lower.copy(), self.upper.copy()
+        lo[is_log], hi[is_log] = np.log(lo[is_log]), np.log(hi[is_log])
+        object.__setattr__(self, "_log", is_log if is_log.any() else None)
+        object.__setattr__(self, "_offset", lo)
+        object.__setattr__(self, "_width", hi - lo)
 
     @classmethod
     def from_params(cls, pv):
@@ -61,26 +78,17 @@ class SearchSpace:
         return self.lower.size
 
     def from_unit(self, z):
-        z = np.clip(np.asarray(z, dtype=float), 0.0, 1.0)
-        x = np.empty_like(z)
-        for i, s in enumerate(self.scales):
-            if s == "log":
-                x[..., i] = np.exp(np.log(self.lower[i])
-                                   + z[..., i] * (np.log(self.upper[i]) - np.log(self.lower[i])))
-            else:
-                x[..., i] = self.lower[i] + z[..., i] * (self.upper[i] - self.lower[i])
+        x = self._offset + np.clip(np.asarray(z, dtype=float), 0.0, 1.0) * self._width
+        if self._log is not None:
+            x[..., self._log] = np.exp(x[..., self._log])
         return x
 
     def to_unit(self, x):
         x = np.asarray(x, dtype=float)
-        z = np.empty_like(x)
-        for i, s in enumerate(self.scales):
-            if s == "log":
-                z[..., i] = ((np.log(x[..., i]) - np.log(self.lower[i]))
-                             / (np.log(self.upper[i]) - np.log(self.lower[i])))
-            else:
-                z[..., i] = (x[..., i] - self.lower[i]) / (self.upper[i] - self.lower[i])
-        return np.clip(z, 0.0, 1.0)
+        if self._log is not None:
+            x = x.copy()
+            x[..., self._log] = np.log(x[..., self._log])
+        return np.clip((x - self._offset) / self._width, 0.0, 1.0)
 
     def center(self):
         return self.from_unit(np.full(self.dim, 0.5))
@@ -98,28 +106,57 @@ class OptResult:
 
 
 def _matern52(d):
-    a = math.sqrt(5.0) * d
-    return (1.0 + a + a * a / 3.0) * np.exp(-a)
+    """(1 + a + a^2/3) exp(-a) with a = sqrt(5) d, computed in place of d.
+
+    Each entry goes through the operations of that expression in its order;
+    working in place keeps the temporaries of a stacked surrogate to two.
+    """
+    d *= math.sqrt(5.0)
+    e = np.negative(d)
+    np.exp(e, out=e)
+    t = d * d
+    t /= 3.0
+    d += 1.0
+    d += t
+    d *= e
+    return d
+
+
+def _cholesky_each(K):
+    """Cholesky factors of the stack K, and a mask of the slices that factor.
+
+    One stacked call when every slice factors; slice by slice otherwise,
+    leaving the failed slices NaN.
+    """
+    try:
+        return np.linalg.cholesky(K), np.ones(len(K), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L, ok = np.full_like(K, np.nan), np.zeros(len(K), dtype=bool)
+    for k, Kk in enumerate(K):
+        try:
+            L[k] = np.linalg.cholesky(Kk)
+        except np.linalg.LinAlgError:
+            continue
+        ok[k] = True
+    return L, ok
 
 
 def _surrogate_fit(Z, y):
     """Fit a scalar lengthscale by marginal likelihood over a small grid."""
     n = Z.shape[0]
-    D = np.sqrt(np.maximum(
-        np.sum(Z ** 2, axis=1)[:, None] + np.sum(Z ** 2, axis=1)[None, :]
-        - 2.0 * Z @ Z.T, 0.0))
+    sq = np.sum(Z ** 2, axis=1)
+    D = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T, 0.0))
+    K = _matern52(D / _LENGTHSCALES[:, None, None])
+    K.reshape(_LENGTHSCALES.size, n * n)[:, ::n + 1] += 1e-8  # nugget
+    L, ok = _cholesky_each(K)
+    half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
     best = None
-    nugget = 1e-8 * np.eye(n)
-    for ell in _LENGTHSCALES:
-        K = _matern52(D / ell) + nugget
-        try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError:
-            continue
-        z = solve_triangular(L, y, lower=True, check_finite=False)
-        lml = -0.5 * z @ z - np.sum(np.log(np.diag(L)))
+    for k in np.flatnonzero(ok):  # grid order; ties keep the first
+        z = _solve_lower(L[k], y)
+        lml = -0.5 * z @ z - half_logdet[k]
         if best is None or lml > best[0]:
-            best = (lml, ell, L)
+            best = (lml, _LENGTHSCALES[k], L[k])
     if best is None:  # fall back to a wide, heavily jittered kernel
         ell = 1.0
         L = np.linalg.cholesky(_matern52(D / ell) + 1e-4 * np.eye(n))
@@ -133,7 +170,7 @@ def _expected_improvement(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
         - 2.0 * Zcand @ Z.T, 0.0))
     Ks = _matern52(d / ell)
     mu = Ks @ alpha
-    v = solve_triangular(L, Ks.T, lower=True, check_finite=False)
+    v = _solve_lower(L, Ks.T)
     var = np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12)
     sd = np.sqrt(var)
     gamma = (mu - f_best - xi) / sd
@@ -142,38 +179,39 @@ def _expected_improvement(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
     return (mu - f_best - xi) * ndtr(gamma) + sd * pdf
 
 
-def _safe_eval(objective, x):
-    try:
-        v = float(objective(x))
-    except Exception as exc:  # objective exceptions map to the sentinel
-        log.warning("objective failed at %s: %s", np.round(x, 4), exc)
-        return SENTINEL
-    if not np.isfinite(v):
-        return SENTINEL
-    return v
-
-
 def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
              warm_start=None) -> OptResult:
     """Maximize ``objective`` over ``space`` with at most ``budget`` evaluations.
 
     ``warm_start`` is an optional point in original coordinates; it is
-    evaluated first and the returned best never falls below it.
+    evaluated first and the returned best never falls below it. An
+    objective that raises or returns a non-finite value scores
+    ``SENTINEL``; a call with raised failures logs one warning that counts
+    them and quotes the first.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     P = space.dim
     rng = np.random.default_rng(seed)
     points, values = [], []
+    Zs = np.empty((budget, P))  # unit-cube image of each recorded point
+    failures = []  # (point, message) of each objective that raised
 
     def record(x):
-        v = _safe_eval(objective, x)
-        points.append(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        try:
+            v = float(objective(x))
+        except Exception as exc:  # objective exceptions map to the sentinel
+            failures.append((x, str(exc)))
+            v = SENTINEL
+        if not np.isfinite(v):
+            v = SENTINEL
+        Zs[len(points)] = space.to_unit(x)
+        points.append(x)
         values.append(v)
-        return v
 
     if warm_start is not None:
-        record(np.asarray(warm_start, dtype=float))
+        record(warm_start)
 
     remaining = budget - len(points)
     n0 = min(remaining, max(8, 2 * P))
@@ -183,7 +221,7 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
             record(space.from_unit(z))
 
     while len(points) < budget:
-        Z = space.to_unit(np.asarray(points))
+        Z = Zs[:len(points)]
         y = np.asarray(values, dtype=float)
         finite = y > SENTINEL / 2
         if not np.any(finite):
@@ -195,9 +233,7 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
         mu, sd = yc.mean(), yc.std()
         ys = (yc - mu) / (sd if sd > 0 else 1.0)
         ell, L = _surrogate_fit(Z, ys)
-        alpha = solve_triangular(
-            L.T, solve_triangular(L, ys, lower=True, check_finite=False),
-            lower=False, check_finite=False)
+        alpha = _solve_lower_t(L, _solve_lower(L, ys))
         best_idx = int(np.argmax(y))
         # 64 uniform candidates plus local restarts around the incumbent
         cand = rng.random((64, P))
@@ -206,6 +242,10 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
         ei = _expected_improvement(Zc, Z, L, alpha, ell, ys.max())
         record(space.from_unit(Zc[int(np.argmax(ei))]))
 
+    if failures:
+        x, msg = failures[0]
+        log.warning("objective failed at %d of %d points; first at %s: %s",
+                    len(failures), len(points), np.round(x, 4), msg)
     values = [float(v) for v in values]
     i = int(np.argmax(values))
     return OptResult(best_point=points[i], best_value=values[i],

@@ -8,9 +8,9 @@ from scipy.spatial.distance import cdist
 
 from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
                        KernelFn, ModelScore, NotPositiveDefiniteError,
-                       ParamVector, beta, bic, build_kernel_matrix, fit,
-                       log_marginal_likelihood, predict, rmse,
-                       surrogate_objective)
+                       ParamVector, _solve_lower, _solve_lower_t, beta, bic,
+                       build_kernel_matrix, fit, log_marginal_likelihood,
+                       predict, rmse, surrogate_objective)
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
                             _matern_r, new_leaf, with_params)
 from peskit.nngp import NNGPKernel
@@ -341,3 +341,19 @@ def test_fit_peak_memory_in_grams(family, grams):
         tracemalloc.stop()
     # the margin covers length-N vectors and statevectors
     assert peak / (n * n * 8) < grams + 0.25
+
+
+def test_triangular_solves_bitwise_equal_scipy_and_reject_singular():
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((25, 25))
+    L = np.linalg.cholesky(A @ A.T + 25.0 * np.eye(25))
+    for b in (rng.standard_normal(25), rng.standard_normal((25, 4)),
+              rng.standard_normal((80, 25)).T):
+        assert np.array_equal(_solve_lower(L, b),
+                              solve_triangular(L, b, lower=True))
+        assert np.array_equal(_solve_lower_t(L, b),
+                              solve_triangular(L.T, b, lower=False))
+    L[7, 7] = 0.0
+    for solve in (_solve_lower, _solve_lower_t):
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 7"):
+            solve(L, np.ones(25))

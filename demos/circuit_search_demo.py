@@ -8,13 +8,10 @@ energies with a small regularization noise.
 Run:  python3 demos/circuit_search_demo.py
 """
 
-import numpy as np
-
 from peskit.circuit_search import CircuitSearchConfig, search_circuit
 from peskit.data import split_random, standardize, synth_pes
-from peskit.gp import fit, log_marginal_likelihood, predict, rmse, \
-    surrogate_objective
-from peskit.optimizer import SearchSpace, maximize, stable_seed
+from peskit.gp import fit, predict, rmse, surrogate_objective
+from peskit.optimizer import maximize_logl, stable_seed
 from peskit.quantum import QuantumKernel, build_fixed_ansatz, \
     build_variable_ansatz
 
@@ -33,17 +30,9 @@ def main():
         return rmse(mean + scale * predict(gp, test.X), test.y)
 
     def optimize_spec(spec, tag):
-        pv = spec.default_params()
-
-        def objective(v):
-            logL = log_marginal_likelihood(
-                QuantumKernel(spec), pv.with_values(v), train.X, ys,
-                sigma_n=SIGMA_N, jitter=1e-10)
-            return surrogate_objective(logL)
-
-        res = maximize(objective, SearchSpace.from_params(pv), 200,
-                       seed=stable_seed(0, tag), warm_start=pv.values)
-        return np.asarray(res.best_point, float)
+        return maximize_logl(QuantumKernel(spec), spec.default_params(),
+                             train.X, ys, 200, stable_seed(0, tag), SIGMA_N,
+                             1e-10, score=surrogate_objective).best_point
 
     cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
                               eps_beta=0.5, max_depth=8, seed=0,

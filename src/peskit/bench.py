@@ -21,12 +21,13 @@ import numpy as np
 from .circuit_search import CircuitSearchConfig, search_circuit
 from .data import Dataset, DataError, load_csv, split_energy_threshold, \
     split_random, standardize, synth_pes, write_rows
-from .gp import ModelScore, TraceRow, fit, log_marginal_likelihood, predict, \
-    rmse, surrogate_objective
+from .gp import ModelScore, TraceRow, fit, predict, rmse, surrogate_objective
 from .kernel_search import ClassicalSearchConfig, search_classical
 from .kernels import ClassicalKernel, Leaf, param_vector, serialize
 from .nngp import NNGPSearchConfig, search_depth
-from .optimizer import SearchSpace, maximize, stable_seed
+from .optimizer import maximize_logl, stable_seed
+# unused here; perfbench/tests/test_tracer.py reads bench.maximize
+from .optimizer import maximize
 from .quantum import QuantumKernel, build_fixed_ansatz
 
 __all__ = ["ConfigError", "ComputeError", "ExperimentConfig", "ResultRow",
@@ -169,14 +170,8 @@ def _fit_rbf(train, cfg, seed):
     expr = Leaf(kind="RBF", params=(1.0,), coef=None)
     kernel = ClassicalKernel(expr=expr)
     pv = param_vector(expr)
-
-    def objective(v):
-        return log_marginal_likelihood(kernel, pv.with_values(v),
-                                       train.X, train.y,
-                                       sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-
-    res = maximize(objective, SearchSpace.from_params(pv), cfg.classical_budget,
-                   seed=stable_seed(seed, "rbf"), warm_start=pv.values)
+    res = maximize_logl(kernel, pv, train.X, train.y, cfg.classical_budget,
+                        stable_seed(seed, "rbf"), cfg.sigma_n, cfg.jitter)
     return kernel, pv.with_values(res.best_point), None, serialize(expr)
 
 
@@ -205,16 +200,9 @@ def _fit_quantum_fixed(train, cfg, seed):
     spec = build_fixed_ansatz(train.dims)
     kernel = QuantumKernel(spec)
     pv = spec.default_params()
-
-    def objective(v):
-        logL = log_marginal_likelihood(kernel, pv.with_values(v),
-                                       train.X, train.y,
-                                       sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-        return surrogate_objective(logL)
-
-    res = maximize(objective, SearchSpace.from_params(pv), cfg.final_budget,
-                   seed=stable_seed(seed, "quantum-fixed"),
-                   warm_start=pv.values)
+    res = maximize_logl(kernel, pv, train.X, train.y, cfg.final_budget,
+                        stable_seed(seed, "quantum-fixed"), cfg.sigma_n,
+                        cfg.jitter, score=surrogate_objective)
     return kernel, pv.with_values(res.best_point), None, spec.to_json()
 
 

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, standardize
-from .gp import (SearchTrace, TraceRow, beta, fit, log_marginal_likelihood,
-                 predict, rmse, surrogate_objective)
-from .optimizer import SENTINEL, SearchSpace, maximize, stable_seed
+from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
+                 TraceRow, beta, fit, log_marginal_likelihood, predict, rmse,
+                 surrogate_objective)
+from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import QuantumKernel, QubitLayer, build_variable_ansatz
 
 __all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
@@ -35,6 +36,8 @@ __all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
            "screen", "refine", "search_circuit", "canonical_layers"]
 
 log = logging.getLogger(__name__)
+
+_GP_FAILURES = (NotPositiveDefiniteError, KernelEvaluationError)
 
 
 def involution_count(n):
@@ -129,19 +132,6 @@ class CircuitSearchConfig:
     holdout: object = None  # optional (X_test, y_test) for the trace
 
 
-def _log_o(layers, params, X, y, cfg):
-    spec = build_variable_ansatz(X.shape[1], layers)
-    try:
-        logL = log_marginal_likelihood(QuantumKernel(spec),
-                                       spec.default_params().with_values(params),
-                                       X, y, sigma_n=cfg.sigma_n,
-                                       jitter=cfg.jitter)
-    except Exception as exc:
-        log.warning("scoring failed for [%s]: %s", canonical_layers(layers), exc)
-        return SENTINEL
-    return surrogate_objective(logL)
-
-
 def extend(beam: BeamState, moves):
     """Children of every retained circuit: parent layers + one move."""
     children, seen = [], set()
@@ -158,53 +148,58 @@ def extend(beam: BeamState, moves):
 
 
 def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
-    """Score unrefined candidates at inherited parameters; keep the top M."""
+    """Score unrefined candidates at inherited parameters; keep the top M.
+
+    A typed GP failure scores SENTINEL; one warning counts a call's failures.
+    """
     X, y = data.X, data.y
     N = y.size
-    pool, seen = [], set()
+    pool, seen, failures = [], set(), []
     for c in candidates:
         key = canonical_layers(c.layers)
         if key in seen:
             continue
         seen.add(key)
         if not c.refined:
-            c.log_o = _log_o(c.layers, c.params, X, y, cfg)
+            spec = build_variable_ansatz(X.shape[1], c.layers)
+            try:
+                c.log_o = surrogate_objective(log_marginal_likelihood(
+                    QuantumKernel(spec),
+                    spec.default_params().with_values(c.params), X, y,
+                    sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+            except _GP_FAILURES as exc:
+                failures.append(f"[{key}]: {exc}")
+                c.log_o = SENTINEL
             c.beta_score = beta(c.log_o, X.shape[1] + 1, N)
         pool.append(c)
+    if failures:
+        log.warning("scoring failed for %d candidates; first %s",
+                    len(failures), failures[0])
     pool.sort(key=lambda c: c.key)
     protected = [c for c in pool if c.protected]
     rest = [c for c in pool if not c.protected]
     return BeamState(candidates=protected + rest[:M])
 
 
+def _optimize(c: Candidate, data, budget, tag, cfg):
+    """Maximize the surrogate objective over ``c``'s scales from its params."""
+    spec = build_variable_ansatz(data.X.shape[1], c.layers)
+    return maximize_logl(QuantumKernel(spec), spec.default_params(), data.X,
+                         data.y, budget,
+                         stable_seed(cfg.seed, tag, canonical_layers(c.layers)),
+                         cfg.sigma_n, cfg.jitter, warm_start=c.params,
+                         score=surrogate_objective)
+
+
 def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
     """Optimize parameters of circuits not yet refined; frozen afterwards."""
-    X, y = data.X, data.y
-    N = y.size
     for c in beam.candidates:
         if c.refined:
             continue
-        if cfg.refine_budget < 1:
-            c.refined = True
-            continue
-
-        def objective(v, layers=c.layers):
-            return _log_o(layers, v, X, y, cfg)
-
-        spec = build_variable_ansatz(X.shape[1], c.layers)
-        pv = spec.default_params()
-        try:
-            res = maximize(objective, SearchSpace.from_params(pv),
-                           cfg.refine_budget,
-                           seed=stable_seed(cfg.seed, "circuit",
-                                            canonical_layers(c.layers)),
-                           warm_start=c.params)
-            c.params = np.asarray(res.best_point, dtype=float)
-            c.log_o = res.best_value
-        except Exception as exc:
-            log.warning("refine failed for [%s], keeping inherited parameters: %s",
-                        canonical_layers(c.layers), exc)
-        c.beta_score = beta(c.log_o, X.shape[1] + 1, N)
+        if cfg.refine_budget >= 1:
+            res = _optimize(c, data, cfg.refine_budget, "circuit", cfg)
+            c.params, c.log_o = res.best_point, res.best_value
+            c.beta_score = beta(c.log_o, data.X.shape[1] + 1, data.y.size)
         c.refined = True
     beam.candidates.sort(key=lambda c: c.key)
     return beam
@@ -219,10 +214,10 @@ def _holdout_rmse(best: Candidate, data, cfg, mean=0.0, scale=1.0):
         gp = fit(QuantumKernel(spec),
                  spec.default_params().with_values(best.params),
                  data.X, data.y, sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-        return rmse(mean + scale * predict(gp, Xt), yt)
-    except Exception as exc:
+    except _GP_FAILURES as exc:
         log.warning("holdout RMSE failed: %s", exc)
         return float("nan")
+    return rmse(mean + scale * predict(gp, Xt), yt)
 
 
 def search_circuit(data, M, config: CircuitSearchConfig | None = None):
@@ -273,26 +268,10 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
             break
 
     # final re-optimization of the winner at the larger budget
+    values = best.params
     if cfg.final_budget >= 1:
-        spec = build_variable_ansatz(m, best.layers)
-        pv = spec.default_params()
-
-        def objective(v, layers=best.layers):
-            return _log_o(layers, v, sdata.X, sdata.y, cfg)
-
-        res = maximize(objective, SearchSpace.from_params(pv), cfg.final_budget,
-                       seed=stable_seed(cfg.seed, "circuit-final",
-                                        canonical_layers(best.layers)),
-                       warm_start=best.params)
-        best = replace_candidate(best, res)
+        values = _optimize(best, sdata, cfg.final_budget, "circuit-final",
+                           cfg).best_point
     spec = build_variable_ansatz(m, best.layers)
-    params = spec.default_params().with_values(best.params)
-    return spec, params, trace
-
-
-def replace_candidate(c: Candidate, res):
-    out = Candidate(layers=c.layers, params=np.asarray(res.best_point, float),
-                    log_o=res.best_value, refined=True, protected=c.protected)
-    out.beta_score = c.beta_score + (res.best_value - c.log_o)
-    return out
+    return spec, spec.default_params().with_values(values), trace
 

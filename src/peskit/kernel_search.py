@@ -9,7 +9,6 @@ every candidate pool, so the best-BIC trace never decreases.
 
 from __future__ import annotations
 
-import logging
 import math
 import time
 from dataclasses import dataclass
@@ -18,15 +17,13 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .data import standardize
-from .gp import SearchTrace, TraceRow, bic, log_marginal_likelihood
+from .gp import SearchTrace, TraceRow, bic
 from .kernels import (ClassicalKernel, Prod, Sum, ensure_coef, new_leaf,
                       param_vector, serialize, with_params)
-from .optimizer import SearchSpace, maximize, stable_seed
+from .optimizer import maximize_logl, stable_seed
 
 __all__ = ["DEFAULT_BASES", "ClassicalSearchConfig", "expand",
            "search_classical"]
-
-log = logging.getLogger(__name__)
 
 # the five base families; Matern contributes its smoothness variants
 DEFAULT_BASES = ("RBF", "DOT", "RQ", "PER", "MAT12", "MAT32", "MAT52")
@@ -73,15 +70,9 @@ class _Scored:
 
 def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
     pv = param_vector(expr, p_scale=p_scale)
-    kernel = ClassicalKernel(expr=expr, p_scale=p_scale)
-
-    def objective(v):
-        return log_marginal_likelihood(kernel, pv.with_values(v), X, y,
-                                       sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-
-    res = maximize(objective, SearchSpace.from_params(pv), budget,
-                   seed=stable_seed(cfg.seed, "classical", serialize(expr)),
-                   warm_start=pv.values)
+    seed = stable_seed(cfg.seed, "classical", serialize(expr))
+    res = maximize_logl(ClassicalKernel(expr=expr, p_scale=p_scale), pv, X, y,
+                        budget, seed, cfg.sigma_n, cfg.jitter)
     fitted = with_params(expr, res.best_point)
     return _Scored(expr=fitted, logL=res.best_value,
                    bic=bic(res.best_value, pv.size, y.size), M=pv.size)
@@ -100,32 +91,27 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
     dists = pdist(X)
     p_scale = float(np.median(dists)) if dists.size else 1.0
 
-    def score_pool(candidates, incumbent_scored, iteration):
+    def score_pool(candidates, incumbent_scored):
         t0 = time.perf_counter()
         scored = []
         for expr in candidates:
             if incumbent_scored is not None and expr is incumbent_scored.expr:
                 scored.append(incumbent_scored)  # frozen score, not re-optimized
-                continue
-            try:
+            else:
                 scored.append(_optimize_candidate(expr, X, y, cfg, cfg.budget,
                                                   p_scale))
-            except Exception as exc:
-                log.warning("discarding candidate %s: %s", serialize(expr), exc)
-        if not scored:
-            raise RuntimeError("all candidates failed to optimize")
         best = min(scored, key=lambda s: s.key)
         return best, len(candidates), time.perf_counter() - t0
 
     trace = SearchTrace()
     pool = [new_leaf(b, coef=1.0) for b in cfg.bases]
-    best, n_cand, dt = score_pool(pool, None, 0)
+    best, n_cand, dt = score_pool(pool, None)
     trace.append(TraceRow(0, n_cand, serialize(best.expr), best.logL,
                           best.bic, best.M, math.nan, dt))
 
     for iteration in range(1, cfg.max_depth):
         pool = expand(best.expr, cfg.bases)
-        new_best, n_cand, dt = score_pool(pool, best, iteration)
+        new_best, n_cand, dt = score_pool(pool, best)
         trace.append(TraceRow(iteration, n_cand, serialize(new_best.expr),
                               new_best.logL, new_best.bic, new_best.M,
                               math.nan, dt))

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import standardize
-from .gp import (KernelFn, ParamVector, SearchTrace, TraceRow,
-                 log_marginal_likelihood)
-from .optimizer import SearchSpace, maximize, stable_seed
+from .gp import KernelFn, ParamVector, SearchTrace, TraceRow
+from .optimizer import maximize_logl, stable_seed
 
 __all__ = ["NNGPKernel", "NNGPSearchConfig", "search_depth"]
 
@@ -125,14 +124,9 @@ def search_depth(data, config: NNGPSearchConfig | None = None):
             values = pv.values.copy()
             values[:warm.size] = warm
             pv = pv.with_values(values)
-
-        def objective(v, kernel=kernel, pv=pv):
-            return log_marginal_likelihood(kernel, pv.with_values(v), X, y,
-                                           sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-
-        res = maximize(objective, SearchSpace.from_params(pv), cfg.budget,
-                       seed=stable_seed(cfg.seed, "nngp", L),
-                       warm_start=pv.values)
+        res = maximize_logl(kernel, pv, X, y, cfg.budget,
+                            stable_seed(cfg.seed, "nngp", L), cfg.sigma_n,
+                            cfg.jitter)
         fitted = pv.with_values(res.best_point)
         trace.append(TraceRow(L - 1, 1, str(L), res.best_value, res.best_value,
                               fitted.size, math.nan,

@@ -5,6 +5,9 @@ cube, and expected-improvement acquisition maximized by random multi-start.
 Deterministic given (seed, space, budget, objective); never returns a value
 below a supplied warm start.
 
+``maximize_logl`` is the one type-II maximum-likelihood fit of a kernel's
+parameters, run by every structure search and fixed-kernel fit.
+
 Each step builds the surrogate's Matern matrices for every lengthscale of
 its grid as one stacked array and factors them in one Cholesky call. The
 stack goes through the same elementwise operations as one matrix per
@@ -23,9 +26,10 @@ import numpy as np
 from scipy.special import ndtr
 from scipy.stats import qmc
 
-from .gp import _solve_lower, _solve_lower_t
+from .gp import _solve_lower, _solve_lower_t, log_marginal_likelihood
 
-__all__ = ["SearchSpace", "OptResult", "maximize", "stable_seed"]
+__all__ = ["SearchSpace", "OptResult", "maximize", "maximize_logl",
+           "stable_seed"]
 
 log = logging.getLogger(__name__)
 
@@ -250,3 +254,20 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
     i = int(np.argmax(values))
     return OptResult(best_point=points[i], best_value=values[i],
                      points=points, values=values, seed=seed)
+
+
+def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n, jitter,
+                  warm_start=None, score=None) -> OptResult:
+    """Fit ``kernel``'s parameters by maximizing the log marginal likelihood.
+
+    The search runs over the box of ``pv`` from ``warm_start``, by default
+    ``pv``'s own values. ``score``, if given, maps each logL to the value
+    maximized, as ``surrogate_objective`` does for quantum kernels.
+    """
+    def objective(v):
+        logL = log_marginal_likelihood(kernel, pv.with_values(v), X, y,
+                                       sigma_n=sigma_n, jitter=jitter)
+        return logL if score is None else score(logL)
+
+    return maximize(objective, SearchSpace.from_params(pv), budget, seed=seed,
+                    warm_start=pv.values if warm_start is None else warm_start)

@@ -1,11 +1,16 @@
+import logging
+
 import numpy as np
 import pytest
 
+from peskit import circuit_search
 from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
-                                   canonical_layers, extend, involution_count,
-                                   layer_pool, refine, screen, search_circuit,
-                                   search_moves)
+                                   _holdout_rmse, canonical_layers, extend,
+                                   involution_count, layer_pool, refine,
+                                   screen, search_circuit, search_moves)
 from peskit.data import Dataset, synth_pes
+from peskit.gp import NotPositiveDefiniteError
+from peskit.optimizer import SENTINEL
 from peskit.quantum import QubitLayer, build_variable_ansatz
 
 
@@ -107,6 +112,66 @@ def test_screen_dedups_identical_candidates():
     cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
     beam = screen([_cand((((0, 1),),)), _cand((((0, 1),),))], data, 5, cfg)
     assert len(beam.candidates) == 1
+
+
+def _poison_layers(monkeypatch, layers, exc):
+    """Make circuit_search's logL raise ``exc`` for one layer sequence."""
+    poisoned = build_variable_ansatz(3, layers)
+    real = circuit_search.log_marginal_likelihood
+
+    def log_marginal_likelihood(kernel, *args, **kwargs):
+        if kernel.spec == poisoned:
+            raise exc
+        return real(kernel, *args, **kwargs)
+
+    monkeypatch.setattr(circuit_search, "log_marginal_likelihood",
+                        log_marginal_likelihood)
+
+
+def test_screen_scores_typed_failure_as_sentinel_with_one_warning(
+        monkeypatch, caplog):
+    data = _search_data()
+    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    bad = (((0, 2),),)
+    _poison_layers(monkeypatch, bad,
+                   NotPositiveDefiniteError("factorization failed"))
+    caplog.set_level(logging.WARNING, logger="peskit.circuit_search")
+    cands = [_cand((((0, 1),),)), _cand(bad), _cand((((1, 2),),))]
+    beam = screen(cands, data, 3, cfg)
+    by_key = {canonical_layers(c.layers): c for c in beam.candidates}
+    assert by_key["0-2"].log_o == SENTINEL
+    assert by_key["0-1"].log_o > SENTINEL and by_key["1-2"].log_o > SENTINEL
+    assert beam.candidates[-1] is by_key["0-2"]
+    records = [r for r in caplog.records if r.name == "peskit.circuit_search"]
+    assert len(records) == 1
+    assert "1 candidates" in records[0].getMessage()
+    assert "[0-2]: factorization failed" in records[0].getMessage()
+
+
+def test_screen_propagates_untyped_failures(monkeypatch):
+    data = _search_data()
+    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    bad = (((0, 2),),)
+    _poison_layers(monkeypatch, bad, ValueError("a bug, not a fit failure"))
+    with pytest.raises(ValueError, match="a bug"):
+        screen([_cand((((0, 1),),)), _cand(bad)], data, 3, cfg)
+
+
+def test_holdout_rmse_is_nan_when_fit_is_not_positive_definite(
+        monkeypatch, caplog):
+    data = _search_data()
+    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0,
+                              holdout=(data.X[:5], data.y[:5]))
+    best = _cand((((0, 1),),))
+    assert np.isfinite(_holdout_rmse(best, data, cfg))
+
+    def fit(*args, **kwargs):
+        raise NotPositiveDefiniteError("factorization failed")
+
+    monkeypatch.setattr(circuit_search, "fit", fit)
+    caplog.set_level(logging.WARNING, logger="peskit.circuit_search")
+    assert np.isnan(_holdout_rmse(best, data, cfg))
+    assert len(caplog.records) == 1
 
 
 def test_refine_improves_or_keeps_screened_score():

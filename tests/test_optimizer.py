@@ -7,9 +7,14 @@ from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
 from peskit import optimizer
+from peskit.data import standardize, synth_pes
+from peskit.gp import log_marginal_likelihood, surrogate_objective
+from peskit.kernels import ClassicalKernel, Leaf, param_vector
 from peskit.optimizer import (_LENGTHSCALES, SENTINEL, OptResult, SearchSpace,
                               _cholesky_each, _expected_improvement, _matern52,
-                              _surrogate_fit, maximize, stable_seed)
+                              _surrogate_fit, maximize, maximize_logl,
+                              stable_seed)
+from peskit.quantum import QuantumKernel, build_variable_ansatz
 
 
 def _space(dim=2, lo=0.0, hi=1.0):
@@ -314,3 +319,50 @@ def test_failed_evaluations_log_one_warning_per_call(caplog):
     caplog.clear()
     maximize(_bumpy, _scaled_space(2, "linear"), budget=12, seed=4)
     assert not caplog.records
+
+
+def _assert_same_result(a, b):
+    assert len(a.points) == len(b.points)
+    assert all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
+    assert a.values == b.values
+    assert np.array_equal(a.best_point, b.best_point)
+    assert a.best_value == b.best_value
+
+
+def _fit_data():
+    data = synth_pes(3, 40, seed=2)
+    return data.X, standardize(data.y)[0]
+
+
+def test_maximize_logl_equals_hand_written_rbf_objective():
+    X, y = _fit_data()
+    expr = Leaf(kind="RBF", params=(1.0,), coef=None)
+    kernel, pv = ClassicalKernel(expr=expr), param_vector(expr)
+
+    def objective(v):
+        return log_marginal_likelihood(kernel, pv.with_values(v), X, y,
+                                       sigma_n=0.1, jitter=1e-10)
+
+    want = maximize(objective, SearchSpace.from_params(pv), 14, seed=5,
+                    warm_start=pv.values)
+    got = maximize_logl(kernel, pv, X, y, 14, 5, 0.1, 1e-10)
+    _assert_same_result(got, want)
+
+
+def test_maximize_logl_equals_hand_written_quantum_objective():
+    X, y = _fit_data()
+    spec = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
+    kernel, pv = QuantumKernel(spec), spec.default_params()
+    start = pv.values * np.linspace(0.5, 2.0, pv.size)
+
+    def objective(v):
+        logL = log_marginal_likelihood(kernel, pv.with_values(v), X, y,
+                                       sigma_n=0.1, jitter=1e-10)
+        return surrogate_objective(logL)
+
+    want = maximize(objective, SearchSpace.from_params(pv), 12, seed=8,
+                    warm_start=start)
+    got = maximize_logl(kernel, pv, X, y, 12, 8, 0.1, 1e-10,
+                        warm_start=start, score=surrogate_objective)
+    _assert_same_result(got, want)
+    assert np.array_equal(got.points[0], start)

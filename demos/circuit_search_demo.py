@@ -10,7 +10,7 @@ Run:  python3 demos/circuit_search_demo.py
 
 from peskit.circuit_search import CircuitSearchConfig, search_circuit
 from peskit.data import split_random, standardize, synth_pes
-from peskit.gp import fit, predict, rmse, surrogate_objective
+from peskit.gp import fit, predict, rmse
 from peskit.optimizer import maximize_logl, stable_seed
 from peskit.quantum import QuantumKernel, build_fixed_ansatz, \
     build_variable_ansatz
@@ -32,7 +32,7 @@ def main():
     def optimize_spec(spec, tag):
         return maximize_logl(QuantumKernel(spec), spec.default_params(),
                              train.X, ys, 200, stable_seed(0, tag), SIGMA_N,
-                             1e-10, score=surrogate_objective).best_point
+                             1e-10).best_point
 
     cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
                               eps_beta=0.5, max_depth=8, seed=0,

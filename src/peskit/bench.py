@@ -21,7 +21,7 @@ import numpy as np
 from .circuit_search import CircuitSearchConfig, search_circuit
 from .data import Dataset, DataError, load_csv, split_energy_threshold, \
     split_random, standardize, synth_pes, write_rows
-from .gp import ModelScore, TraceRow, fit, predict, rmse, surrogate_objective
+from .gp import ModelScore, TraceRow, fit, predict, rmse
 from .kernel_search import ClassicalSearchConfig, search_classical
 from .kernels import ClassicalKernel, Leaf, param_vector, serialize
 from .nngp import NNGPSearchConfig, search_depth
@@ -202,7 +202,7 @@ def _fit_quantum_fixed(train, cfg, seed):
     pv = spec.default_params()
     res = maximize_logl(kernel, pv, train.X, train.y, cfg.final_budget,
                         stable_seed(seed, "quantum-fixed"), cfg.sigma_n,
-                        cfg.jitter, score=surrogate_objective)
+                        cfg.jitter)
     return kernel, pv.with_values(res.best_point), None, spec.to_json()
 
 

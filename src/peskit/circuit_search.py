@@ -26,8 +26,7 @@ import numpy as np
 
 from .data import Dataset, standardize
 from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
-                 TraceRow, beta, fit, log_marginal_likelihood, predict, rmse,
-                 surrogate_objective)
+                 TraceRow, beta, fit, log_marginal_likelihood, predict, rmse)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import QuantumKernel, QubitLayer, build_variable_ansatz
 
@@ -161,12 +160,11 @@ def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
             continue
         seen.add(key)
         if not c.refined:
-            spec = build_variable_ansatz(X.shape[1], c.layers)
+            kernel = QuantumKernel(build_variable_ansatz(X.shape[1], c.layers))
             try:
-                c.log_o = surrogate_objective(log_marginal_likelihood(
-                    QuantumKernel(spec),
-                    spec.default_params().with_values(c.params), X, y,
-                    sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+                c.log_o = kernel.objective(log_marginal_likelihood(
+                    kernel, kernel.default_params().with_values(c.params), X,
+                    y, sigma_n=cfg.sigma_n, jitter=cfg.jitter))
             except _GP_FAILURES as exc:
                 failures.append(f"[{key}]: {exc}")
                 c.log_o = SENTINEL
@@ -183,12 +181,11 @@ def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
 
 def _optimize(c: Candidate, data, budget, tag, cfg):
     """Maximize the surrogate objective over ``c``'s scales from its params."""
-    spec = build_variable_ansatz(data.X.shape[1], c.layers)
-    return maximize_logl(QuantumKernel(spec), spec.default_params(), data.X,
-                         data.y, budget,
+    kernel = QuantumKernel(build_variable_ansatz(data.X.shape[1], c.layers))
+    return maximize_logl(kernel, kernel.default_params().with_values(c.params),
+                         data.X, data.y, budget,
                          stable_seed(cfg.seed, tag, canonical_layers(c.layers)),
-                         cfg.sigma_n, cfg.jitter, warm_start=c.params,
-                         score=surrogate_objective)
+                         cfg.sigma_n, cfg.jitter)
 
 
 def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:

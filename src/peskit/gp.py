@@ -115,6 +115,10 @@ class KernelFn:
     def param_count(self, params: ParamVector) -> int:
         return params.size
 
+    def objective(self, logL: float) -> float:
+        """The value a type-II fit of this kernel maximizes: logL itself."""
+        return logL
+
 
 @dataclass(frozen=True)
 class TrainedGP:

@@ -256,18 +256,15 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
                      points=points, values=values, seed=seed)
 
 
-def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n, jitter,
-                  warm_start=None, score=None) -> OptResult:
+def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n, jitter) -> OptResult:
     """Fit ``kernel``'s parameters by maximizing the log marginal likelihood.
 
-    The search runs over the box of ``pv`` from ``warm_start``, by default
-    ``pv``'s own values. ``score``, if given, maps each logL to the value
-    maximized, as ``surrogate_objective`` does for quantum kernels.
+    The search runs over the box of ``pv`` from ``pv``'s own values and
+    maximizes ``kernel.objective`` of each logL.
     """
     def objective(v):
-        logL = log_marginal_likelihood(kernel, pv.with_values(v), X, y,
-                                       sigma_n=sigma_n, jitter=jitter)
-        return logL if score is None else score(logL)
+        return kernel.objective(log_marginal_likelihood(
+            kernel, pv.with_values(v), X, y, sigma_n=sigma_n, jitter=jitter))
 
     return maximize(objective, SearchSpace.from_params(pv), budget, seed=seed,
-                    warm_start=pv.values if warm_start is None else warm_start)
+                    warm_start=pv.values)

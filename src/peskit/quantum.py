@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gp import KernelFn, ParamVector
+from .gp import KernelFn, ParamVector, surrogate_objective
 
 __all__ = [
     "GateOp",
@@ -288,6 +288,10 @@ class QuantumKernel(KernelFn):
         K = np.abs(V1 @ V2.conj().T)
         K **= 2
         return K
+
+    def objective(self, logL: float) -> float:
+        """Fits maximize the stabilized ``surrogate_objective`` of logL."""
+        return surrogate_objective(logL)
 
 
 def _pair_layers(pairs):

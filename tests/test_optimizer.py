@@ -362,7 +362,7 @@ def test_maximize_logl_equals_hand_written_quantum_objective():
 
     want = maximize(objective, SearchSpace.from_params(pv), 12, seed=8,
                     warm_start=start)
-    got = maximize_logl(kernel, pv, X, y, 12, 8, 0.1, 1e-10,
-                        warm_start=start, score=surrogate_objective)
+    got = maximize_logl(kernel, pv.with_values(start), X, y, 12, 8, 0.1,
+                        1e-10)
     _assert_same_result(got, want)
     assert np.array_equal(got.points[0], start)

@@ -10,8 +10,7 @@ from .kernels import ClassicalKernel, parse, serialize
 from .nngp import NNGPKernel, search_depth
 from .kernel_search import search_classical
 from .quantum import (Circuit, GateOp, QuantumKernel, QuantumKernelSpec,
-                      build_fixed_ansatz, build_variable_ansatz,
-                      fidelity_kernel)
+                      build_fixed_ansatz, build_variable_ansatz)
 from .circuit_search import layer_pool, search_circuit
 from .optimizer import OptResult, SearchSpace, maximize
 

@@ -6,6 +6,10 @@ R_Y data-encoded as x_i / theta_i. Each iteration appends one move to each
 retained circuit, screens the children by the beta metric at inherited
 parameters, keeps the best M, and optimizes the parameters of newly
 retained circuits by Bayesian optimization of the surrogate objective.
+Screening simulates each parent's prefix, H^m followed by its U_e, once
+on the training inputs at the parameters its children inherit; a child's
+states are a copy of that prefix with the child's new layer and the final
+R_Y layer applied.
 The single-qubit layers reuse the scales theta_i and all R_ZZ gates share
 one scale Theta, so no move adds a parameter and the beta penalty is
 depth-independent.
@@ -20,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +32,8 @@ from .data import Dataset, standardize
 from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
                  TraceRow, beta, fit, log_marginal_likelihood, predict, rmse)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
-from .quantum import QuantumKernel, QubitLayer, build_variable_ansatz
+from .quantum import (Circuit, QuantumKernel, QubitLayer, apply_layers,
+                      build_variable_ansatz, statevectors)
 
 __all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
            "involution_count", "layer_pool", "search_moves", "extend",
@@ -146,28 +151,59 @@ def extend(beam: BeamState, moves):
     return children
 
 
+@dataclass(frozen=True)
+class _ChildKernel(QuantumKernel):
+    """A screened child's kernel, valid on the training inputs only: its
+    states there were built from its parent's prefix."""
+
+    training_states: np.ndarray = field(compare=False, repr=False)
+
+    def states(self, X, params):
+        return self.training_states
+
+
+def _prefix_states(spec, pv, X):
+    """States of ``spec`` without its last two gate layers (a child's new
+    layer and R_Y^m): H^m and its parent's U_e."""
+    return statevectors(replace(spec, circuit=Circuit(
+        spec.m, spec.circuit.layers[:-2])), pv, X)
+
+
+def _child_states(prefix, spec, pv, X):
+    """States of ``spec`` from a copy of its ``_prefix_states``."""
+    return apply_layers(prefix.copy(), spec.circuit.layers[-2:], pv, X)
+
+
 def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
     """Score unrefined candidates at inherited parameters; keep the top M.
 
-    A typed GP failure scores SENTINEL; one warning counts a call's failures.
+    Consecutive children of one parent share its prefix state, which is
+    simulated once. A typed GP failure scores SENTINEL; one warning counts
+    a call's failures.
     """
     X, y = data.X, data.y
     N = y.size
     pool, seen, failures = [], set(), []
+    prefix_key = prefix = None
     for c in candidates:
         key = canonical_layers(c.layers)
         if key in seen:
             continue
         seen.add(key)
         if not c.refined:
-            kernel = QuantumKernel(build_variable_ansatz(X.shape[1], c.layers))
+            spec = build_variable_ansatz(X.shape[1], c.layers)
+            pv = spec.default_params().with_values(c.params)
+            parent = (spec.circuit.layers[:-2], c.params.tobytes())
+            if parent != prefix_key:
+                prefix_key, prefix = parent, _prefix_states(spec, pv, X)
+            kernel = _ChildKernel(spec, _child_states(prefix, spec, pv, X))
             try:
                 c.log_o = kernel.objective(log_marginal_likelihood(
-                    kernel, kernel.default_params().with_values(c.params), X,
-                    y, sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+                    kernel, pv, X, y, sigma_n=cfg.sigma_n, jitter=cfg.jitter))
             except _GP_FAILURES as exc:
                 failures.append(f"[{key}]: {exc}")
                 c.log_o = SENTINEL
+            del kernel  # free this child's states before the next is built
             c.beta_score = beta(c.log_o, X.shape[1] + 1, N)
         pool.append(c)
     if failures:

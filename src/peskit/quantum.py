@@ -8,9 +8,10 @@ states, computed from cached statevectors.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,8 @@ __all__ = [
     "zero_state",
     "apply_gate",
     "encode",
-    "statevector_for",
+    "apply_layers",
     "statevectors",
-    "fidelity_kernel",
-    "fidelity_via_adjoint",
     "build_fixed_ansatz",
     "QubitLayer",
     "build_variable_ansatz",
@@ -111,8 +110,12 @@ def zero_state(m, batch=None):
     return psi
 
 
+@functools.lru_cache(maxsize=64)
 def _bit(m, q):
-    return (np.arange(2 ** m) >> q) & 1
+    """Read-only 0/1 mask of qubit ``q`` over the 2^m basis indices."""
+    bit = (np.arange(2 ** m) >> q) & 1
+    bit.flags.writeable = False
+    return bit
 
 
 def apply_gate(state, gate: GateOp, angle=None):
@@ -225,44 +228,31 @@ def _gate_angle(gate, params, x):
     return np.asarray(encode(x, params, gate), dtype=float)
 
 
-def statevectors(spec: QuantumKernelSpec, params: ParamVector, X) -> np.ndarray:
-    """Encoded states U(x)|0...0> for each input row; shape (B, 2^m)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != spec.m:
-        raise ValueError(
-            f"input dimension {X.shape[1]} != qubit count m={spec.m}")
-    psi = zero_state(spec.m, batch=X.shape[0])
-    for layer in spec.circuit.layers:
+def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
+    """Apply gate layers in place to states ``psi`` of shape (B, 2^m), the
+    encoded angles taken from the B rows of ``X``."""
+    for layer in layers:
         for gate in layer:
             apply_gate(psi, gate, _gate_angle(gate, params, X))
     return psi
 
 
-def statevector_for(spec: QuantumKernelSpec, params: ParamVector, x) -> np.ndarray:
-    """Encoded state for a single input vector."""
-    return statevectors(spec, params, np.atleast_2d(x))[0]
+def statevectors(spec: QuantumKernelSpec, params: ParamVector, X) -> np.ndarray:
+    """Encoded states U(x)|0...0> for each input row; shape (B, 2^m).
 
-
-def fidelity_kernel(spec: QuantumKernelSpec, params: ParamVector, x, xp) -> float:
-    """|<psi(x')|psi(x)>|^2 from the two statevectors."""
-    a = statevector_for(spec, params, x)
-    b = statevector_for(spec, params, xp)
-    return float(np.abs(np.vdot(b, a)) ** 2)
-
-
-def fidelity_via_adjoint(spec: QuantumKernelSpec, params: ParamVector, x, xp) -> float:
-    """Literal path: apply U(x), then the adjoint circuit of U(x'), read |<0|.>|^2."""
-    psi = zero_state(spec.m, batch=1)
-    X = np.atleast_2d(np.asarray(x, dtype=float))
-    Xp = np.atleast_2d(np.asarray(xp, dtype=float))
-    for layer in spec.circuit.layers:
-        for gate in layer:
-            apply_gate(psi, gate, _gate_angle(gate, params, X))
-    for layer in reversed(spec.circuit.layers):
-        for gate in reversed(layer):
-            ang = _gate_angle(gate, params, Xp)
-            apply_gate(psi, gate, None if ang is None else -ang)
-    return float(np.abs(psi[0, 0]) ** 2)
+    The leading data-free gates (H, ID and fixed angles; H^m in both
+    ansaetze) are simulated once on one row, which is then repeated B times.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != spec.m:
+        raise ValueError(
+            f"input dimension {X.shape[1]} != qubit count m={spec.m}")
+    gates = [g for layer in spec.circuit.layers for g in layer]
+    k = next((i for i, g in enumerate(gates)
+              if g.kind not in ("H", "ID") and g.angle is None), len(gates))
+    head = apply_layers(zero_state(spec.m, batch=1), [gates[:k]], params, X)
+    return apply_layers(np.repeat(head, X.shape[0], axis=0), [gates[k:]],
+                        params, X)
 
 
 @dataclass(frozen=True)
@@ -274,17 +264,18 @@ class QuantumKernel(KernelFn):
     def default_params(self) -> ParamVector:
         return self.spec.default_params()
 
-    def eval(self, x, xp, params: ParamVector) -> float:
-        return fidelity_kernel(self.spec, params, x, xp)
+    def states(self, X, params: ParamVector) -> np.ndarray:
+        """The encoded states of the rows of ``X``, from which ``gram`` works."""
+        return statevectors(self.spec, params, X)
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
-        V1 = statevectors(self.spec, params, X)
+        V1 = self.states(X, params)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         X2a = np.atleast_2d(np.asarray(X2, dtype=float))
         if X2a.shape == X.shape and np.array_equal(X2a, X):
             V2 = V1
         else:
-            V2 = statevectors(self.spec, params, X2a)
+            V2 = self.states(X2a, params)
         K = np.abs(V1 @ V2.conj().T)
         K **= 2
         return K

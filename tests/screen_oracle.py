@@ -1,0 +1,36 @@
+"""Per-candidate screening scores for exactness tests of ``screen``.
+
+A frozen copy of how ``circuit_search.screen`` scored candidates before it
+built children from their parents' prefix states: each unrefined candidate
+gets its own ``QuantumKernel``, whose states are simulated from |0...0>.
+Tests only; the library never imports it.
+"""
+
+from peskit.circuit_search import canonical_layers
+from peskit.gp import (KernelEvaluationError, NotPositiveDefiniteError, beta,
+                       log_marginal_likelihood)
+from peskit.optimizer import SENTINEL
+from peskit.quantum import QuantumKernel, build_variable_ansatz
+
+
+def screen_scores(candidates, data, cfg):
+    """Canonical layer string -> (log_o, beta_score) of each candidate that
+    ``screen`` would score, computed one candidate at a time."""
+    X, y = data.X, data.y
+    seen, scores = set(), {}
+    for c in candidates:
+        key = canonical_layers(c.layers)
+        if key in seen:
+            continue
+        seen.add(key)
+        if c.refined:
+            continue
+        kernel = QuantumKernel(build_variable_ansatz(X.shape[1], c.layers))
+        try:
+            log_o = kernel.objective(log_marginal_likelihood(
+                kernel, kernel.default_params().with_values(c.params), X, y,
+                sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+        except (NotPositiveDefiniteError, KernelEvaluationError):
+            log_o = SENTINEL
+        scores[key] = (log_o, beta(log_o, X.shape[1] + 1, y.size))
+    return scores

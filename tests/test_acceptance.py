@@ -30,7 +30,8 @@ from peskit.nngp import NNGPKernel
 from peskit.optimizer import SearchSpace, maximize, stable_seed
 from peskit.quantum import (GateOp, QuantumKernel, QubitLayer, apply_gate,
                             build_fixed_ansatz, build_variable_ansatz,
-                            fidelity_kernel, fidelity_via_adjoint, zero_state)
+                            zero_state)
+from quantum_oracle import fidelity_kernel, fidelity_via_adjoint
 
 rng = np.random.default_rng(20240817)
 

@@ -5,13 +5,15 @@ import pytest
 
 from peskit import circuit_search
 from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
-                                   _holdout_rmse, canonical_layers, extend,
+                                   _child_states, _holdout_rmse,
+                                   _prefix_states, canonical_layers, extend,
                                    involution_count, layer_pool, refine,
                                    screen, search_circuit, search_moves)
 from peskit.data import Dataset, synth_pes
 from peskit.gp import NotPositiveDefiniteError
 from peskit.optimizer import SENTINEL
-from peskit.quantum import QubitLayer, build_variable_ansatz
+from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
+from screen_oracle import screen_scores
 
 
 def test_involution_count_recurrence():
@@ -112,6 +114,53 @@ def test_screen_dedups_identical_candidates():
     cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
     beam = screen([_cand((((0, 1),),)), _cand((((0, 1),),))], data, 5, cfg)
     assert len(beam.candidates) == 1
+
+
+_PARENTS = ((),  # the empty circuit: its prefix is H^m alone
+            (((0, 1),), ((1, 2),)),  # R_ZZ matchings only
+            (QubitLayer("H"), QubitLayer("RZ"), ((0, 2),), QubitLayer("RY")))
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_prefix_built_child_states_equal_full_simulation(m):
+    X = np.random.default_rng(m).uniform(0, 1, (20, m))
+    for parent in _PARENTS:
+        pv = build_variable_ansatz(m, parent).default_params().with_values(
+            np.random.default_rng(len(parent)).uniform(0.2, 4.0, m + 1))
+        prefix = None
+        for move in search_moves(m):
+            spec = build_variable_ansatz(m, parent + (move,))
+            if prefix is None:
+                prefix = _prefix_states(spec, pv, X)
+            assert np.array_equal(_child_states(prefix, spec, pv, X),
+                                  statevectors(spec, pv, X))
+        # building the children left the shared prefix as it was
+        assert np.array_equal(prefix, _prefix_states(spec, pv, X))
+
+
+def test_screen_scores_equal_per_candidate_oracle():
+    data = _search_data()
+    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    moves = search_moves(3)
+    # iteration 0: the protected baseline and every depth-1 circuit
+    seeds = [_cand(())] + [_cand((move,)) for move in moves]
+    seeds[0].protected = True
+    # a later iteration: refined parents at distinct parameters, children
+    # interleaved with the parents they came from
+    parents = [_cand(layers) for layers in _PARENTS]
+    for i, p in enumerate(parents):
+        p.params = p.params * (1.0 + 0.4 * i)
+        p.refined = True
+    children = extend(BeamState(candidates=parents), moves)
+    # consecutive candidates with one prefix circuit at different parameters
+    twins = [_cand((((0, 1),), ((1, 2),))), _cand((((0, 1),), ((0, 2),)))]
+    twins[1].params = twins[1].params * 3.0
+    for cands in (seeds, parents + children, twins):
+        want = screen_scores(cands, data, cfg)
+        screen(cands, data, len(cands), cfg)
+        got = {canonical_layers(c.layers): (c.log_o, c.beta_score)
+               for c in cands if not c.refined}
+        assert got == want
 
 
 def _poison_layers(monkeypatch, layers, exc):

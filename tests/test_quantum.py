@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from peskit.circuit_search import canonical_layers
 from peskit.quantum import (Circuit, GateOp, QuantumKernel, QuantumKernelSpec,
                             QubitLayer, apply_gate, build_fixed_ansatz,
-                            build_variable_ansatz, encode, fidelity_kernel,
-                            fidelity_via_adjoint, statevector_for,
-                            statevectors, zero_state)
+                            build_variable_ansatz, encode, statevectors,
+                            zero_state)
+from quantum_oracle import (fidelity_kernel, fidelity_via_adjoint,
+                            replay_states, statevector_for)
 
 rng = np.random.default_rng(42)
 
@@ -290,3 +291,22 @@ def test_statevectors_shape_and_dim_check():
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
     with pytest.raises(ValueError):
         statevectors(spec, pv, rng.uniform(0, 1, (7, 3)))
+
+
+@pytest.mark.parametrize("B", [1, 7, 150])
+def test_head_broadcast_states_equal_full_replay(B):
+    # the data-free head (H, ID, fixed angles) may end inside a layer
+    head = Circuit(m=4, layers=(
+        (GateOp("H", (0,)), GateOp("RZ", (1,), angle=0.3), GateOp("ID", (2,)),
+         GateOp("RY", (3,), angle=-1.1)),
+        (GateOp("H", (1,)), GateOp("RY", (0,)), GateOp("H", (2,))),
+        (GateOp("RZZ", (0, 3)), GateOp("RZ", (1,), angle=0.7))))
+    specs = [build_fixed_ansatz(4), build_variable_ansatz(4, ()),
+             build_variable_ansatz(4, (QubitLayer("H"), ((0, 3),),
+                                       QubitLayer("RZ"), QubitLayer("RY"))),
+             QuantumKernelSpec(circuit=head, encoding="variable")]
+    X = rng.uniform(0, 1, (B, 4))
+    for spec in specs:
+        pv = spec.default_params().with_values(rng.uniform(0.2, 4.0, 5))
+        assert np.array_equal(statevectors(spec, pv, X),
+                              replay_states(spec, pv, X))

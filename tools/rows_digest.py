@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""Print the rows, traces and winners of one run, every float as ``float.hex``.
+
+Run from the root of a peskit checkout, with a benchmark workload and seed
+(from ``perfbench/workloads.py``) or an ``ExperimentConfig`` JSON file:
+
+    python3 tools/rows_digest.py circuit-beam 0 > after.txt
+    python3 tools/rows_digest.py config.json > after.txt
+    cmp before.txt after.txt
+
+The config runs through ``peskit.bench.run_interpolation`` from this
+checkout's ``src``, with the BLAS thread count pinned to 1. Wall times are
+left out, so two runs whose results are bitwise equal print the same bytes.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import sys
+import warnings
+from dataclasses import asdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+
+def _hex(record):
+    """The record's fields but ``wall_time``, floats as ``float.hex``."""
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in asdict(record).items() if k != "wall_time"}
+
+
+def digest(doc):
+    """The lines to print for one config document."""
+    from peskit.bench import ExperimentConfig, run_interpolation
+    table, artifacts = run_interpolation(ExperimentConfig.from_dict(doc))
+    lines = ["row " + json.dumps(_hex(r)) for r in table.rows]
+    for name, trace in sorted(artifacts["traces"].items()):
+        lines += [f"{name} " + json.dumps(_hex(r)) for r in trace]
+    lines += [f"winner {fam} {w}"
+              for fam, w in sorted(artifacts["winners"].items())]
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("config", help="a workload name or a config JSON file")
+    p.add_argument("seed", type=int, nargs="?", default=0,
+                   help="workload seed (ignored for a JSON file)")
+    args = p.parse_args(argv)
+    warnings.filterwarnings("ignore", "The balance properties of Sobol")
+    import workloads
+    if args.config in workloads.WORKLOADS:
+        doc = workloads.config(args.config, args.seed)
+    else:
+        doc = json.loads(Path(args.config).read_text())
+    print("\n".join(digest(doc)))
+
+
+if __name__ == "__main__":
+    main()

@@ -26,17 +26,16 @@ def main():
 
     def holdout(spec, values):
         gp = fit(QuantumKernel(spec), spec.default_params().with_values(values),
-                 train.X, ys, sigma_n=SIGMA_N, jitter=1e-10)
+                 train.X, ys, sigma_n=SIGMA_N)
         return rmse(mean + scale * predict(gp, test.X), test.y)
 
     def optimize_spec(spec, tag):
         return maximize_logl(QuantumKernel(spec), spec.default_params(),
-                             train.X, ys, 200, stable_seed(0, tag), SIGMA_N,
-                             1e-10).best_point
+                             train.X, ys, 200, stable_seed(0, tag),
+                             SIGMA_N).best_point
 
     cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
-                              eps_beta=0.5, max_depth=8, seed=0,
-                              sigma_n=SIGMA_N,
+                              max_depth=8, seed=0, sigma_n=SIGMA_N,
                               holdout=(test.X, test.y))
     spec, params, trace = search_circuit(train, 9, cfg)
     print("search trace (iteration, beta, layers, holdout RMSE):")

@@ -19,7 +19,7 @@ from peskit.optimizer import stable_seed
 
 def holdout_rmse(expr, pv, train, test, ys, mean, scale, p_scale):
     gp = fit(ClassicalKernel(expr=expr, p_scale=p_scale), pv,
-             train.X, ys, sigma_n=0.0, jitter=1e-10)
+             train.X, ys, sigma_n=0.0)
     return rmse(mean + scale * predict(gp, test.X), test.y)
 
 

@@ -21,7 +21,7 @@ import numpy as np
 from .circuit_search import CircuitSearchConfig, search_circuit
 from .data import Dataset, DataError, load_csv, split_energy_threshold, \
     split_random, standardize, synth_pes, write_rows
-from .gp import ModelScore, TraceRow, fit, predict, rmse
+from .gp import TraceRow, bic, fit, predict, rmse
 from .kernel_search import ClassicalSearchConfig, search_classical
 from .kernels import ClassicalKernel, Leaf, param_vector, serialize
 from .nngp import NNGPSearchConfig, search_depth
@@ -65,14 +65,10 @@ class ExperimentConfig:
     refine_budget: int = 40
     final_budget: int = 200
     beam_width: int = 8
-    eps_beta: float = 0.5
-    eps_bic_rel: float = 0.01
-    eps_bic_abs: float = 0.5
     nngp_budget: int = 50
     nngp_max_depth: int = 6
     max_depth: int = 8
     sigma_n: float = 0.0
-    jitter: float = 1e-10
     threads: int = 1
 
     @classmethod
@@ -137,8 +133,8 @@ class ResultRow:
     size: float  # n_train for interpolation, threshold fraction for extrapolation
     seed: int
     rmse: float
-    score: float  # logL (classical/nngp) or logO (quantum)
-    criterion: float  # bic or beta
+    score: float  # what the kernel's fit maximizes: logL, or logO if quantum
+    criterion: float  # bic of score: BIC, or beta if quantum
     M: int
     n_test: int
     wall_time: float
@@ -171,17 +167,15 @@ def _fit_rbf(train, cfg, seed):
     kernel = ClassicalKernel(expr=expr)
     pv = param_vector(expr)
     res = maximize_logl(kernel, pv, train.X, train.y, cfg.classical_budget,
-                        stable_seed(seed, "rbf"), cfg.sigma_n, cfg.jitter)
+                        stable_seed(seed, "rbf"), cfg.sigma_n)
     return kernel, pv.with_values(res.best_point), None, serialize(expr)
 
 
 def _fit_composite(train, cfg, seed):
     scfg = ClassicalSearchConfig(budget=cfg.classical_budget,
                                  final_budget=cfg.final_budget,
-                                 eps_rel=cfg.eps_bic_rel,
-                                 eps_abs=cfg.eps_bic_abs,
                                  max_depth=cfg.max_depth, seed=seed,
-                                 sigma_n=cfg.sigma_n, jitter=cfg.jitter)
+                                 sigma_n=cfg.sigma_n)
     expr, params, trace = search_classical(train, scfg)
     return ClassicalKernel(expr=expr), params, trace, serialize(expr)
 
@@ -189,7 +183,7 @@ def _fit_composite(train, cfg, seed):
 def _fit_nngp(train, cfg, seed):
     ncfg = NNGPSearchConfig(budget=cfg.nngp_budget,
                             max_depth=cfg.nngp_max_depth, seed=seed,
-                            sigma_n=cfg.sigma_n, jitter=cfg.jitter)
+                            sigma_n=cfg.sigma_n)
     kernel, params, trace = search_depth(train, ncfg)
     winner = json.dumps({"depth": kernel.depth,
                          "params": params.values.tolist()})
@@ -201,17 +195,15 @@ def _fit_quantum_fixed(train, cfg, seed):
     kernel = QuantumKernel(spec)
     pv = spec.default_params()
     res = maximize_logl(kernel, pv, train.X, train.y, cfg.final_budget,
-                        stable_seed(seed, "quantum-fixed"), cfg.sigma_n,
-                        cfg.jitter)
+                        stable_seed(seed, "quantum-fixed"), cfg.sigma_n)
     return kernel, pv.with_values(res.best_point), None, spec.to_json()
 
 
 def _fit_quantum_variable(train, cfg, seed):
     qcfg = CircuitSearchConfig(refine_budget=cfg.refine_budget,
                                final_budget=cfg.final_budget,
-                               eps_beta=cfg.eps_beta,
                                max_depth=cfg.max_depth, seed=seed,
-                               sigma_n=cfg.sigma_n, jitter=cfg.jitter)
+                               sigma_n=cfg.sigma_n)
     spec, params, trace = search_circuit(train, cfg.beam_width, qcfg)
     return QuantumKernel(spec), params, trace, spec.to_json()
 
@@ -224,8 +216,6 @@ _FITTERS = {
     "quantum-variable": _fit_quantum_variable,
 }
 
-_QUANTUM = ("quantum-fixed", "quantum-variable")
-
 
 def _run_cell(family, data, split, size, seed, cfg):
     t0 = time.perf_counter()
@@ -234,18 +224,15 @@ def _run_cell(family, data, split, size, seed, cfg):
     ys, mean, scale = standardize(train.y)
     train_std = Dataset(X=train.X, y=ys, source=train.source)
     kernel, params, trace, winner = _FITTERS[family](train_std, cfg, seed)
-    gp = fit(kernel, params, train_std.X, train_std.y,
-             sigma_n=cfg.sigma_n, jitter=cfg.jitter)
-    score = ModelScore.from_logL(gp.logL, params.size, train.n)
+    gp = fit(kernel, params, train_std.X, train_std.y, sigma_n=cfg.sigma_n)
+    score = kernel.objective(gp.logL)
     n_test = int(split.test.size)
     err = (rmse(mean + scale * predict(gp, data.X[split.test]),
                 data.y[split.test])
            if n_test else float("nan"))
-    quantum = family in _QUANTUM
     row = ResultRow(family=family, size=size, seed=seed, rmse=err,
-                    score=score.logO if quantum else score.logL,
-                    criterion=score.beta if quantum else score.bic,
-                    M=score.M, n_test=n_test,
+                    score=score, criterion=bic(score, params.size, train.n),
+                    M=params.size, n_test=n_test,
                     wall_time=time.perf_counter() - t0)
     return row, trace, winner
 

@@ -42,6 +42,7 @@ __all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
 log = logging.getLogger(__name__)
 
 _GP_FAILURES = (NotPositiveDefiniteError, KernelEvaluationError)
+EPS_BETA = 0.5  # beta improvement required to keep growing
 
 
 def involution_count(n):
@@ -128,11 +129,9 @@ class BeamState:
 class CircuitSearchConfig:
     refine_budget: int = 40
     final_budget: int = 200
-    eps_beta: float = 0.5
     max_depth: int = 8
     seed: int = 0
     sigma_n: float = 0.0
-    jitter: float = 1e-10
     holdout: object = None  # optional (X_test, y_test) for the trace
 
 
@@ -199,7 +198,7 @@ def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
             kernel = _ChildKernel(spec, _child_states(prefix, spec, pv, X))
             try:
                 c.log_o = kernel.objective(log_marginal_likelihood(
-                    kernel, pv, X, y, sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+                    kernel, pv, X, y, sigma_n=cfg.sigma_n))
             except _GP_FAILURES as exc:
                 failures.append(f"[{key}]: {exc}")
                 c.log_o = SENTINEL
@@ -221,7 +220,7 @@ def _optimize(c: Candidate, data, budget, tag, cfg):
     return maximize_logl(kernel, kernel.default_params().with_values(c.params),
                          data.X, data.y, budget,
                          stable_seed(cfg.seed, tag, canonical_layers(c.layers)),
-                         cfg.sigma_n, cfg.jitter)
+                         cfg.sigma_n)
 
 
 def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
@@ -246,7 +245,7 @@ def _holdout_rmse(best: Candidate, data, cfg, mean=0.0, scale=1.0):
     try:
         gp = fit(QuantumKernel(spec),
                  spec.default_params().with_values(best.params),
-                 data.X, data.y, sigma_n=cfg.sigma_n, jitter=cfg.jitter)
+                 data.X, data.y, sigma_n=cfg.sigma_n)
     except _GP_FAILURES as exc:
         log.warning("holdout RMSE failed: %s", exc)
         return float("nan")
@@ -297,7 +296,7 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
         trace.append(row(iteration, len(children), new_best, t0))
         improvement = new_best.beta_score - best.beta_score
         best = new_best
-        if improvement < cfg.eps_beta:
+        if improvement < EPS_BETA:
             break
 
     # final re-optimization of the winner at the larger budget

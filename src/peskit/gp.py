@@ -18,7 +18,6 @@ __all__ = [
     "ParamVector",
     "KernelFn",
     "TrainedGP",
-    "ModelScore",
     "TraceRow",
     "SearchTrace",
     "KernelEvaluationError",
@@ -83,9 +82,6 @@ class ParamVector:
                 f"expected {self.size} parameter values, got {values.size}")
         return replace(self, values=values)
 
-    def as_dict(self):
-        return dict(zip(self.names, self.values))
-
 
 class KernelFn:
     """Abstract covariance function over pairs of D-dimensional inputs.
@@ -112,9 +108,6 @@ class KernelFn:
     def default_params(self) -> ParamVector:
         raise NotImplementedError
 
-    def param_count(self, params: ParamVector) -> int:
-        return params.size
-
     def objective(self, logL: float) -> float:
         """The value a type-II fit of this kernel maximizes: logL itself."""
         return logL
@@ -136,24 +129,6 @@ class TrainedGP:
     sigma_n: float
     jitter: float
     logL: float
-
-
-@dataclass(frozen=True)
-class ModelScore:
-    """Model-selection scalars for one fitted kernel."""
-
-    logL: float
-    logO: float
-    bic: float
-    beta: float
-    M: int
-    N: int
-
-    @classmethod
-    def from_logL(cls, logL, M, N, d=1.0):
-        logO = surrogate_objective(logL, d)
-        return cls(logL=logL, logO=logO, bic=bic(logL, M, N),
-                   beta=beta(logO, M, N), M=M, N=N)
 
 
 @dataclass(frozen=True)
@@ -336,11 +311,8 @@ def bic(logL: float, M: int, N: int) -> float:
     return float(logL - 0.5 * M * math.log(N))
 
 
-def beta(logO: float, M: int, N: int) -> float:
-    """Circuit selection metric: logO - 1/2 M log N (natural log)."""
-    if N < 1 or M < 0:
-        raise ValueError("need N >= 1 and M >= 0")
-    return float(logO - 0.5 * M * math.log(N))
+# the circuit selection metric beta(logO, M, N) is the BIC form applied to logO
+beta = bic
 
 
 def rmse(predictions, truth) -> float:

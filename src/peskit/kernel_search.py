@@ -27,6 +27,9 @@ __all__ = ["DEFAULT_BASES", "ClassicalSearchConfig", "expand",
 
 # the five base families; Matern contributes its smoothness variants
 DEFAULT_BASES = ("RBF", "DOT", "RQ", "PER", "MAT12", "MAT32", "MAT52")
+# converged when a step improves the BIC by less than max(EPS_REL*|BIC|, EPS_ABS)
+EPS_REL = 0.01
+EPS_ABS = 0.5
 
 
 @dataclass
@@ -34,12 +37,9 @@ class ClassicalSearchConfig:
     bases: tuple = DEFAULT_BASES
     budget: int = 50
     final_budget: int = 200
-    eps_rel: float = 0.01  # converged when improvement < max(eps_rel*|BIC|, eps_abs)
-    eps_abs: float = 0.5
     max_depth: int = 8
     seed: int = 0
     sigma_n: float = 0.0
-    jitter: float = 1e-10
 
 
 def expand(incumbent, bases=DEFAULT_BASES):
@@ -72,7 +72,7 @@ def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
     pv = param_vector(expr, p_scale=p_scale)
     seed = stable_seed(cfg.seed, "classical", serialize(expr))
     res = maximize_logl(ClassicalKernel(expr=expr, p_scale=p_scale), pv, X, y,
-                        budget, seed, cfg.sigma_n, cfg.jitter)
+                        budget, seed, cfg.sigma_n)
     fitted = with_params(expr, res.best_point)
     return _Scored(expr=fitted, logL=res.best_value,
                    bic=bic(res.best_value, pv.size, y.size), M=pv.size)
@@ -116,7 +116,7 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
                               new_best.logL, new_best.bic, new_best.M,
                               math.nan, dt))
         improvement = new_best.bic - best.bic
-        converged = improvement < max(cfg.eps_rel * abs(best.bic), cfg.eps_abs)
+        converged = improvement < max(EPS_REL * abs(best.bic), EPS_ABS)
         best = new_best
         if converged:
             break

@@ -97,7 +97,6 @@ class NNGPSearchConfig:
     max_depth: int = 6
     seed: int = 0
     sigma_n: float = 0.0
-    jitter: float = 1e-10
 
 
 def search_depth(data, config: NNGPSearchConfig | None = None):
@@ -125,8 +124,7 @@ def search_depth(data, config: NNGPSearchConfig | None = None):
             values[:warm.size] = warm
             pv = pv.with_values(values)
         res = maximize_logl(kernel, pv, X, y, cfg.budget,
-                            stable_seed(cfg.seed, "nngp", L), cfg.sigma_n,
-                            cfg.jitter)
+                            stable_seed(cfg.seed, "nngp", L), cfg.sigma_n)
         fitted = pv.with_values(res.best_point)
         trace.append(TraceRow(L - 1, 1, str(L), res.best_value, res.best_value,
                               fitted.size, math.nan,

@@ -256,7 +256,7 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
                      points=points, values=values, seed=seed)
 
 
-def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n, jitter) -> OptResult:
+def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n) -> OptResult:
     """Fit ``kernel``'s parameters by maximizing the log marginal likelihood.
 
     The search runs over the box of ``pv`` from ``pv``'s own values and
@@ -264,7 +264,7 @@ def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n, jitter) -> OptResult:
     """
     def objective(v):
         return kernel.objective(log_marginal_likelihood(
-            kernel, pv.with_values(v), X, y, sigma_n=sigma_n, jitter=jitter))
+            kernel, pv.with_values(v), X, y, sigma_n=sigma_n))
 
     return maximize(objective, SearchSpace.from_params(pv), budget, seed=seed,
                     warm_start=pv.values)

@@ -1,6 +1,6 @@
 """m-qubit statevector simulation and quantum fidelity kernels.
 
-Gate set {H, R_Z, R_Y, R_ZZ, I} with little-endian qubit ordering (qubit 0
+Gate set {H, R_Z, R_Y, R_ZZ} with little-endian qubit ordering (qubit 0
 is the least significant bit of the basis index). Data vectors are encoded
 into gate angles; the kernel is the squared overlap of the two encoded
 states, computed from cached statevectors.
@@ -32,7 +32,7 @@ __all__ = [
     "build_variable_ansatz",
 ]
 
-GATE_KINDS = ("H", "RZ", "RY", "RZZ", "ID")
+GATE_KINDS = ("H", "RZ", "RY", "RZZ")
 
 # default bounds for the encoding scales theta_1..theta_m and Theta
 THETA_BOUNDS = (1e-2, 1e1)
@@ -40,14 +40,10 @@ THETA_BOUNDS = (1e-2, 1e1)
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: kind, target qubit(s), and an optional fixed angle.
-
-    ``angle=None`` on a rotation gate means the angle is data-encoded.
-    """
+    """One gate: kind and target qubit(s); a rotation's angle is data-encoded."""
 
     kind: str
     qubits: tuple
-    angle: float | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -86,8 +82,7 @@ class Circuit:
 
     def to_json(self, encoding=None) -> str:
         doc = {"m": self.m,
-               "layers": [[{"gate": g.kind, "qubits": list(g.qubits),
-                            **({"angle": g.angle} if g.angle is not None else {})}
+               "layers": [[{"gate": g.kind, "qubits": list(g.qubits)}
                            for g in layer] for layer in self.layers]}
         if encoding is not None:
             doc["encoding"] = encoding
@@ -96,8 +91,7 @@ class Circuit:
     @classmethod
     def from_json(cls, s: str):
         doc = json.loads(s)
-        layers = tuple(tuple(GateOp(kind=g["gate"], qubits=tuple(g["qubits"]),
-                                    angle=g.get("angle"))
+        layers = tuple(tuple(GateOp(kind=g["gate"], qubits=tuple(g["qubits"]))
                              for g in layer) for layer in doc["layers"])
         return cls(m=doc["m"], layers=layers), doc.get("encoding")
 
@@ -122,15 +116,13 @@ def apply_gate(state, gate: GateOp, angle=None):
     """Apply one gate in place to amplitudes of shape (..., 2^m).
 
     ``angle`` may be a scalar or an array broadcasting over leading axes;
-    it is ignored for H and ID.
+    it is ignored for H.
     """
     dim = state.shape[-1]
     m = dim.bit_length() - 1
     for q in gate.qubits:
         if not 0 <= q < m:
             raise IndexError(f"qubit index {q} out of range for m={m}")
-    if gate.kind == "ID":
-        return state
     if gate.kind in ("RZ", "RZZ"):
         if gate.kind == "RZ":
             s = _bit(m, gate.qubits[0])
@@ -221,10 +213,8 @@ def encode(x, params: ParamVector, gate: GateOp):
 
 
 def _gate_angle(gate, params, x):
-    if gate.kind in ("H", "ID"):
+    if gate.kind == "H":
         return None
-    if gate.angle is not None:
-        return np.asarray(gate.angle, dtype=float)
     return np.asarray(encode(x, params, gate), dtype=float)
 
 
@@ -240,16 +230,15 @@ def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
 def statevectors(spec: QuantumKernelSpec, params: ParamVector, X) -> np.ndarray:
     """Encoded states U(x)|0...0> for each input row; shape (B, 2^m).
 
-    The leading data-free gates (H, ID and fixed angles; H^m in both
-    ansaetze) are simulated once on one row, which is then repeated B times.
+    The leading H gates (H^m in both ansaetze) are simulated once on one
+    row, which is then repeated B times.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != spec.m:
         raise ValueError(
             f"input dimension {X.shape[1]} != qubit count m={spec.m}")
     gates = [g for layer in spec.circuit.layers for g in layer]
-    k = next((i for i, g in enumerate(gates)
-              if g.kind not in ("H", "ID") and g.angle is None), len(gates))
+    k = next((i for i, g in enumerate(gates) if g.kind != "H"), len(gates))
     head = apply_layers(zero_state(spec.m, batch=1), [gates[:k]], params, X)
     return apply_layers(np.repeat(head, X.shape[0], axis=0), [gates[k:]],
                         params, X)

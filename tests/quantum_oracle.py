@@ -11,10 +11,8 @@ from peskit.quantum import apply_gate, encode, zero_state
 
 
 def _angle(gate, params, X):
-    if gate.kind in ("H", "ID"):
+    if gate.kind == "H":
         return None
-    if gate.angle is not None:
-        return np.asarray(gate.angle, dtype=float)
     return np.asarray(encode(X, params, gate), dtype=float)
 
 

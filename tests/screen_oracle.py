@@ -29,7 +29,7 @@ def screen_scores(candidates, data, cfg):
         try:
             log_o = kernel.objective(log_marginal_likelihood(
                 kernel, kernel.default_params().with_values(c.params), X, y,
-                sigma_n=cfg.sigma_n, jitter=cfg.jitter))
+                sigma_n=cfg.sigma_n))
         except (NotPositiveDefiniteError, KernelEvaluationError):
             log_o = SENTINEL
         scores[key] = (log_o, beta(log_o, X.shape[1] + 1, y.size))

@@ -230,7 +230,7 @@ def test_beam_search_equals_exhaustive_oracle():
     oracle_beta = beta(fo, MP, N)
 
     cfg = CircuitSearchConfig(refine_budget=REFINE, final_budget=FINAL,
-                              eps_beta=0.5, max_depth=2, seed=SEED, sigma_n=SN)
+                              max_depth=2, seed=SEED, sigma_n=SN)
     spec, params, _ = search_circuit(data, len(moves), cfg)
     # rebuild the appended layers between the leading H and final R_Y layers
     search_layers = tuple(
@@ -360,8 +360,7 @@ def circuit_benchmark_medians():
         d0.append(holdout(zero, optimize_spec(zero, "d0")))
 
         cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
-                                  eps_beta=0.5, max_depth=8, seed=seed,
-                                  sigma_n=SIGMA_N)
+                                  max_depth=8, seed=seed, sigma_n=SIGMA_N)
         spec, params, _ = search_circuit(train, 9, cfg)
         conv.append(holdout(spec, params.values))
 

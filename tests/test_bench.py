@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from peskit import cli
-from peskit.bench import (ConfigError, ExperimentConfig, ResultRow,
+from peskit import bench, cli
+from peskit.bench import (FAMILIES, ConfigError, ExperimentConfig, ResultRow,
                           ResultTable, emit_reports, load_dataset,
                           run_extrapolation, run_interpolation, summarize)
 from peskit.data import DataError
+from peskit.gp import bic, surrogate_objective
 
 
 def _config(**overrides):
@@ -31,8 +32,11 @@ def _config(**overrides):
 
 
 def test_config_rejects_unknown_and_missing_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        ExperimentConfig.from_dict(_config(bogus=1))
+    # bogus, and the settings that became constants
+    for key, value in (("bogus", 1), ("jitter", 1e-10), ("eps_beta", 0.5),
+                       ("eps_bic_rel", 0.01), ("eps_bic_abs", 0.5)):
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict(_config(**{key: value}))
     with pytest.raises(ConfigError, match="missing config keys"):
         ExperimentConfig.from_dict({"dataset": {"kind": "synthetic"}})
     with pytest.raises(ConfigError, match="unknown kernel family"):
@@ -102,6 +106,33 @@ def test_threads_do_not_change_results():
     t2, _ = run_interpolation(cfg2)
     assert [(r.rmse, r.score) for r in t1.rows] == \
         [(r.rmse, r.score) for r in t2.rows]
+
+
+def test_row_score_is_the_fit_objective_and_criterion_its_bic(monkeypatch):
+    # each cell fits its winner once through bench.fit; its row's score is
+    # what the kernel's fit maximizes (logO for the quantum families, logL
+    # for the rest) and its criterion the BIC form of that score
+    fitted, fit = [], bench.fit
+
+    def spy(kernel, params, X, y, **kwargs):
+        gp = fit(kernel, params, X, y, **kwargs)
+        fitted.append((kernel, params.size, gp.logL))
+        return gp
+
+    monkeypatch.setattr(bench, "fit", spy)
+    cfg = ExperimentConfig.from_dict(_config(families=list(FAMILIES)))
+    table, _ = run_interpolation(cfg)
+    rows = {r.family: r for r in table.rows}
+    assert len(rows) == len(fitted) == len(FAMILIES)
+    for family, (kernel, M, logL) in zip(cfg.families, fitted):
+        row = rows[family]
+        assert row.score == kernel.objective(logL)
+        if family.startswith("quantum"):
+            assert row.score == surrogate_objective(logL)
+        else:
+            assert row.score == logL
+        assert row.M == M
+        assert row.criterion == bic(row.score, row.M, 40)
 
 
 def test_extrapolation_rows_and_tiny_test_set():

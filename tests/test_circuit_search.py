@@ -255,9 +255,8 @@ def test_refined_candidates_are_frozen():
 
 
 def _quick_cfg(seed=0, holdout=None):
-    return CircuitSearchConfig(refine_budget=8, final_budget=10, eps_beta=0.5,
-                               max_depth=3, seed=seed, sigma_n=0.1,
-                               holdout=holdout)
+    return CircuitSearchConfig(refine_budget=8, final_budget=10, max_depth=3,
+                               seed=seed, sigma_n=0.1, holdout=holdout)
 
 
 def test_search_is_deterministic():

@@ -7,7 +7,7 @@ from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
 from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
-                       KernelFn, ModelScore, NotPositiveDefiniteError,
+                       KernelFn, NotPositiveDefiniteError,
                        ParamVector, _solve_lower, _solve_lower_t, beta, bic,
                        build_kernel_matrix, fit, log_marginal_likelihood,
                        predict, rmse, surrogate_objective)
@@ -173,14 +173,6 @@ def test_bic_and_beta_penalties():
         bic(0.0, -1, 10)
     with pytest.raises(ValueError):
         beta(0.0, 0, 0)
-
-
-def test_model_score_from_logL():
-    s = ModelScore.from_logL(-5.0, 3, 40)
-    assert s.logL == -5.0
-    assert abs(s.bic - bic(-5.0, 3, 40)) < 1e-12
-    assert abs(s.logO - surrogate_objective(-5.0)) < 1e-12
-    assert abs(s.beta - beta(s.logO, 3, 40)) < 1e-12
 
 
 def test_rmse():

@@ -345,7 +345,7 @@ def test_maximize_logl_equals_hand_written_rbf_objective():
 
     want = maximize(objective, SearchSpace.from_params(pv), 14, seed=5,
                     warm_start=pv.values)
-    got = maximize_logl(kernel, pv, X, y, 14, 5, 0.1, 1e-10)
+    got = maximize_logl(kernel, pv, X, y, 14, 5, 0.1)
     _assert_same_result(got, want)
 
 
@@ -362,7 +362,6 @@ def test_maximize_logl_equals_hand_written_quantum_objective():
 
     want = maximize(objective, SearchSpace.from_params(pv), 12, seed=8,
                     warm_start=start)
-    got = maximize_logl(kernel, pv.with_values(start), X, y, 12, 8, 0.1,
-                        1e-10)
+    got = maximize_logl(kernel, pv.with_values(start), X, y, 12, 8, 0.1)
     _assert_same_result(got, want)
     assert np.array_equal(got.points[0], start)

@@ -27,8 +27,6 @@ def _embed(op, m, q):
 def _dense_gate(gate, m, angle=None):
     if gate.kind == "H":
         return _embed(_H, m, gate.qubits[0])
-    if gate.kind == "ID":
-        return np.eye(2 ** m, dtype=complex)
     if gate.kind == "RY":
         return expm(-0.5j * angle * _embed(_Y, m, gate.qubits[0]))
     if gate.kind == "RZ":
@@ -43,7 +41,7 @@ def _random_state(m):
     return v / np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("kind", ["H", "RZ", "RY", "RZZ", "ID"])
+@pytest.mark.parametrize("kind", ["H", "RZ", "RY", "RZZ"])
 def test_apply_gate_matches_dense_oracle(kind):
     m = 3
     for _ in range(10):
@@ -98,6 +96,8 @@ def test_norm_preserved_over_many_gates():
 def test_gate_op_validation():
     with pytest.raises(ValueError):
         GateOp("CNOT", (0, 1))
+    with pytest.raises(ValueError):
+        GateOp("ID", (0,))
     with pytest.raises(ValueError):
         GateOp("H", (0, 1))
     with pytest.raises(ValueError):
@@ -236,14 +236,14 @@ def test_variable_ansatz_single_qubit_layers():
     layers = (QubitLayer("H"), ((0, 2),), QubitLayer("RZ"), QubitLayer("RY"))
     spec = build_variable_ansatz(3, layers)
     gates = spec.circuit.layers
-    assert [tuple((g.kind, g.qubits, g.angle) for g in layer)
+    assert [tuple((g.kind, g.qubits) for g in layer)
             for layer in gates] == [
-        (("H", (0,), None), ("H", (1,), None), ("H", (2,), None)),
-        (("H", (0,), None), ("H", (1,), None), ("H", (2,), None)),
-        (("RZZ", (0, 2), None),),
-        (("RZ", (0,), None), ("RZ", (1,), None), ("RZ", (2,), None)),
-        (("RY", (0,), None), ("RY", (1,), None), ("RY", (2,), None)),
-        (("RY", (0,), None), ("RY", (1,), None), ("RY", (2,), None)),
+        (("H", (0,)), ("H", (1,)), ("H", (2,))),
+        (("H", (0,)), ("H", (1,)), ("H", (2,))),
+        (("RZZ", (0, 2)),),
+        (("RZ", (0,)), ("RZ", (1,)), ("RZ", (2,))),
+        (("RY", (0,)), ("RY", (1,)), ("RY", (2,))),
+        (("RY", (0,)), ("RY", (1,)), ("RY", (2,))),
     ]
     # no parameter per layer: theta_1..theta_3 and Theta at any depth
     assert spec.default_params().size == 4
@@ -295,12 +295,11 @@ def test_statevectors_shape_and_dim_check():
 
 @pytest.mark.parametrize("B", [1, 7, 150])
 def test_head_broadcast_states_equal_full_replay(B):
-    # the data-free head (H, ID, fixed angles) may end inside a layer
+    # the data-free head (the leading H gates) may end inside a layer
     head = Circuit(m=4, layers=(
-        (GateOp("H", (0,)), GateOp("RZ", (1,), angle=0.3), GateOp("ID", (2,)),
-         GateOp("RY", (3,), angle=-1.1)),
+        tuple(GateOp("H", (q,)) for q in range(4)),
         (GateOp("H", (1,)), GateOp("RY", (0,)), GateOp("H", (2,))),
-        (GateOp("RZZ", (0, 3)), GateOp("RZ", (1,), angle=0.7))))
+        (GateOp("RZZ", (0, 3)), GateOp("RZ", (1,)))))
     specs = [build_fixed_ansatz(4), build_variable_ansatz(4, ()),
              build_variable_ansatz(4, (QubitLayer("H"), ((0, 3),),
                                        QubitLayer("RZ"), QubitLayer("RY"))),

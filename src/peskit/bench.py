@@ -290,8 +290,7 @@ def run_extrapolation(config: ExperimentConfig):
             for seed in config.seeds:
                 split = split_energy_threshold(
                     data, frac, config.n_train_extrap,
-                    seed=stable_seed("extrap", frac, seed),
-                    allow_empty_test=True)
+                    seed=stable_seed("extrap", frac, seed))
                 cells.append((family, data, split, frac, seed))
     return _collect(cells, config,
                     sort_key=lambda r: (r.family, r.size, r.seed))

@@ -35,22 +35,14 @@ from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import (Circuit, QuantumKernel, QubitLayer, apply_layers,
                       build_variable_ansatz, statevectors)
 
-__all__ = ["LayerPool", "BeamState", "Candidate", "CircuitSearchConfig",
-           "involution_count", "layer_pool", "search_moves", "extend",
-           "screen", "refine", "search_circuit", "canonical_layers"]
+__all__ = ["BeamState", "Candidate", "CircuitSearchConfig", "layer_pool",
+           "search_moves", "extend", "screen", "refine", "search_circuit",
+           "canonical_layers"]
 
 log = logging.getLogger(__name__)
 
 _GP_FAILURES = (NotPositiveDefiniteError, KernelEvaluationError)
 EPS_BETA = 0.5  # beta improvement required to keep growing
-
-
-def involution_count(n):
-    """T(n) = T(n-1) + (n-1) T(n-2): permutations that are their own inverse."""
-    a, b = 1, 1
-    for k in range(2, n + 1):
-        a, b = b, b + (k - 1) * a
-    return b
 
 
 def _matchings(qubits):
@@ -68,32 +60,18 @@ def _matchings(qubits):
             yield ((first, q),) + m
 
 
-@dataclass(frozen=True)
-class LayerPool:
+def layer_pool(m) -> tuple:
     """All nonempty R_ZZ matchings on m qubits, canonically ordered."""
-
-    m: int
-    layers: tuple
-
-    def __len__(self):
-        return len(self.layers)
-
-    def __iter__(self):
-        return iter(self.layers)
-
-
-def layer_pool(m) -> LayerPool:
     if m < 2:
         raise ValueError("layer pool needs m >= 2")
-    layers = sorted(tuple(sorted(match)) for match in _matchings(tuple(range(m)))
-                    if match)
-    return LayerPool(m=m, layers=tuple(layers))
+    return tuple(sorted(tuple(sorted(match))
+                        for match in _matchings(tuple(range(m))) if match))
 
 
 def search_moves(m):
     """Every layer the search may append: the R_ZZ pool, then H, R_Z, R_Y."""
-    return layer_pool(m).layers + tuple(QubitLayer(kind)
-                                        for kind in ("H", "RZ", "RY"))
+    return layer_pool(m) + tuple(QubitLayer(kind)
+                                 for kind in ("H", "RZ", "RY"))
 
 
 def canonical_layers(layers):
@@ -136,8 +114,12 @@ class CircuitSearchConfig:
 
 
 def extend(beam: BeamState, moves):
-    """Children of every retained circuit: parent layers + one move."""
-    children, seen = [], set()
+    """Children of every retained circuit: parent layers + one move.
+
+    Each layer sequence appears once, and none that the beam already holds.
+    """
+    children = []
+    seen = {canonical_layers(c.layers) for c in beam.candidates}
     for parent in beam.candidates:
         for layer in moves:
             layers = parent.layers + (layer,)
@@ -287,9 +269,6 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
         children = extend(beam, moves)
-        refined_ids = {canonical_layers(c.layers) for c in beam.candidates}
-        children = [c for c in children
-                    if canonical_layers(c.layers) not in refined_ids]
         beam = refine(screen(beam.candidates + children, sdata, M, cfg),
                       sdata, cfg)
         new_best = beam.best()

@@ -91,10 +91,11 @@ def cmd_bench_extrap(args):
 
 
 def cmd_report(args):
-    results = Path(args.out or "results") / "results.csv"
+    out_dir = args.out
     if args.config:
-        cfg = _load_config(args)
-        results = Path(cfg.out_dir) / "results.csv"
+        cfg = ExperimentConfig.from_json(args.config)
+        out_dir = out_dir or cfg.out_dir
+    results = Path(out_dir or "results") / "results.csv"
     if not results.exists():
         raise DataError(f"no results table at {results}")
     table = ResultTable.from_csv(results)
@@ -124,10 +125,9 @@ def build_parser():
         _common_flags(sp)
         sp.set_defaults(handler=fn)
     sp = sub.add_parser("report")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--threads", type=int, default=None)
+    sp.add_argument("--config", default=None,
+                    help="JSON experiment config naming the results directory")
+    sp.add_argument("--out", default=None, help="results directory")
     sp.set_defaults(handler=cmd_report)
     return p
 

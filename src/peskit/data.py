@@ -9,7 +9,6 @@ experiments in place of ab initio data.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, field, fields
@@ -45,8 +44,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    R: np.ndarray | None = None  # raw distances, when known
-    a: float | None = None
     source: str = "synthetic"
 
     def __post_init__(self):
@@ -73,24 +70,13 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices, dtype=int)
-        return Dataset(X=self.X[idx], y=self.y[idx],
-                       R=None if self.R is None else self.R[idx],
-                       a=self.a, source=self.source)
+        return Dataset(X=self.X[idx], y=self.y[idx], source=self.source)
 
 
 @dataclass(frozen=True)
 class Split:
     train: np.ndarray
     test: np.ndarray
-    kind: str  # "random-interpolation" or "energy-threshold-extrapolation"
-    seed: int
-    threshold_fraction: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind, "seed": self.seed,
-                           "threshold_fraction": self.threshold_fraction,
-                           "train": self.train.tolist(),
-                           "test": self.test.tolist()})
 
 
 def transform(R, a):
@@ -146,7 +132,7 @@ def load_csv(path, a=None) -> Dataset:
     R, y = arr[:, :-1], arr[:, -1]
     if a is None:
         a = default_transform_scale(str(path))
-    return Dataset(X=transform(R, a), y=y, R=R, a=a, source=str(path))
+    return Dataset(X=transform(R, a), y=y, source=str(path))
 
 
 def write_rows(rows, cls, path):
@@ -164,13 +150,14 @@ def split_random(data: Dataset, n_train, seed) -> Split:
     if not 0 < n_train < data.n:
         raise ValueError(f"n_train must be in (0, {data.n})")
     perm = np.random.default_rng(seed).permutation(data.n)
-    return Split(train=np.sort(perm[:n_train]), test=np.sort(perm[n_train:]),
-                 kind="random-interpolation", seed=seed)
+    return Split(train=np.sort(perm[:n_train]), test=np.sort(perm[n_train:]))
 
 
-def split_energy_threshold(data: Dataset, fraction, n_train, seed,
-                           allow_empty_test=False) -> Split:
-    """Train below the energy threshold, test on everything above it."""
+def split_energy_threshold(data: Dataset, fraction, n_train, seed) -> Split:
+    """Train below the energy threshold, test on everything above it.
+
+    The test set is empty, with a warning, only when every energy is equal.
+    """
     if not 0 < fraction < 1:
         raise ValueError("threshold fraction must be in (0, 1)")
     lo, hi = data.energy_range
@@ -181,14 +168,10 @@ def split_energy_threshold(data: Dataset, fraction, n_train, seed,
         raise DataError(
             f"only {below.size} points at or below threshold, need {n_train}")
     if above.size == 0:
-        if not allow_empty_test:
-            raise DataError("no points above the energy threshold")
         warnings.warn("energy-threshold split produced an empty test set")
     rng = np.random.default_rng(seed)
     train = np.sort(rng.choice(below, size=n_train, replace=False))
-    return Split(train=train, test=above,
-                 kind="energy-threshold-extrapolation", seed=seed,
-                 threshold_fraction=fraction)
+    return Split(train=train, test=above)
 
 
 @dataclass(frozen=True)
@@ -245,7 +228,7 @@ class MorsePes:
     def dataset(self, n_points, seed, a=1.0) -> Dataset:
         rng = np.random.default_rng(seed)
         R = self._sample_distances(n_points, rng)
-        return Dataset(X=transform(R, a), y=self.energy(R), R=R, a=a,
+        return Dataset(X=transform(R, a), y=self.energy(R),
                        source=f"synthetic:{self.kind}:d{self.dims}:s{self.seed}")
 
 

@@ -86,24 +86,13 @@ class ParamVector:
 class KernelFn:
     """Abstract covariance function over pairs of D-dimensional inputs.
 
-    Subclasses implement ``eval`` (scalar) and may override ``gram`` with a
-    vectorized path; the default gram loops over pairs.
-
-    ``gram`` must return a fresh float array that no one else holds:
-    ``build_kernel_matrix`` and ``fit`` overwrite it in place.
+    Subclasses implement ``gram``, the matrix of k(x, x') over the rows of
+    two input sets. It must return a fresh float array that no one else
+    holds: ``build_kernel_matrix`` and ``fit`` overwrite it in place.
     """
 
-    def eval(self, x, xp, params: ParamVector) -> float:
-        raise NotImplementedError
-
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-        out = np.empty((X.shape[0], X2.shape[0]))
-        for i, x in enumerate(X):
-            for j, xp in enumerate(X2):
-                out[i, j] = self.eval(x, xp, params)
-        return out
+        raise NotImplementedError
 
     def default_params(self) -> ParamVector:
         raise NotImplementedError

@@ -23,16 +23,9 @@ __all__ = [
     "Sum",
     "Prod",
     "new_leaf",
-    "eval_rbf",
-    "eval_dot",
-    "eval_rq",
-    "eval_periodic",
-    "eval_matern",
-    "eval_expr",
     "gram_expr",
     "param_vector",
     "with_params",
-    "n_leaves",
     "serialize",
     "parse",
     "ClassicalKernel",
@@ -55,50 +48,6 @@ _MATERN_NU = {"MAT12": 0.5, "MAT32": 1.5, "MAT52": 2.5}
 COEF_BOUNDS = (1e-3, 1e3)
 SHAPE_BOUNDS = (1e-2, 1e2)
 PERIOD_BOUNDS = (1e-1, 1e1)  # multiplied by the data's median pairwise distance
-
-
-# ---------------------------------------------------------------------------
-# scalar base kernels
-
-def eval_rbf(x, xp, theta):
-    """exp(-theta * ||x - x'||^2)."""
-    d2 = float(np.sum((np.asarray(x, float) - np.asarray(xp, float)) ** 2))
-    return math.exp(-theta * d2)
-
-
-def eval_dot(x, xp):
-    """Inner product x^T x'."""
-    return float(np.dot(np.asarray(x, float), np.asarray(xp, float)))
-
-
-def eval_rq(x, xp, alpha, l):
-    """Rational quadratic (1 + d^2 / (2 alpha l^2))^(-alpha)."""
-    d2 = float(np.sum((np.asarray(x, float) - np.asarray(xp, float)) ** 2))
-    return (1.0 + d2 / (2.0 * alpha * l * l)) ** (-alpha)
-
-
-def eval_periodic(x, xp, p, l):
-    """exp(-2 sin^2(pi d / p) / l^2)."""
-    d = float(np.linalg.norm(np.asarray(x, float) - np.asarray(xp, float)))
-    return math.exp(-2.0 * math.sin(math.pi * d / p) ** 2 / (l * l))
-
-
-def eval_matern(x, xp, nu, l):
-    """Matern closed forms for nu in {1/2, 3/2, 5/2}; r = d(x, x') / l."""
-    d = float(np.linalg.norm(np.asarray(x, float) - np.asarray(xp, float)))
-    return _matern_r(np.asarray(d / l), nu).item()
-
-
-def _matern_r(r, nu):
-    if nu == 0.5:
-        return np.exp(-r)
-    if nu == 1.5:
-        a = math.sqrt(3.0) * r
-        return (1.0 + a) * np.exp(-a)
-    if nu == 2.5:
-        a = math.sqrt(5.0) * r
-        return (1.0 + a + 5.0 * r * r / 3.0) * np.exp(-a)
-    raise ValueError(f"unsupported Matern nu={nu}; use 1/2, 3/2 or 5/2")
 
 
 # ---------------------------------------------------------------------------
@@ -144,36 +93,20 @@ def ensure_coef(expr):
     return expr if expr.coef is not None else replace(expr, coef=1.0)
 
 
-def n_leaves(expr):
-    if isinstance(expr, Leaf):
-        return 1
-    return n_leaves(expr.left) + n_leaves(expr.right)
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 
-def eval_expr(expr, x, xp):
-    """Recursive scalar evaluation of a kernel expression."""
-    c = 1.0 if expr.coef is None else expr.coef
-    if isinstance(expr, Leaf):
-        return c * _leaf_scalar(expr, x, xp)
-    if isinstance(expr, Sum):
-        return c * (eval_expr(expr.left, x, xp) + eval_expr(expr.right, x, xp))
-    return c * eval_expr(expr.left, x, xp) * eval_expr(expr.right, x, xp)
-
-
-def _leaf_scalar(leaf, x, xp):
-    k, p = leaf.kind, leaf.params
-    if k == "RBF":
-        return eval_rbf(x, xp, p[0])
-    if k == "DOT":
-        return eval_dot(x, xp)
-    if k == "RQ":
-        return eval_rq(x, xp, p[0], p[1])
-    if k == "PER":
-        return eval_periodic(x, xp, p[0], p[1])
-    return eval_matern(x, xp, _MATERN_NU[k], p[0])
+def _matern_r(r, nu):
+    """Matern closed forms for nu in {1/2, 3/2, 5/2} at scaled distances r."""
+    if nu == 0.5:
+        return np.exp(-r)
+    if nu == 1.5:
+        a = math.sqrt(3.0) * r
+        return (1.0 + a) * np.exp(-a)
+    if nu == 2.5:
+        a = math.sqrt(5.0) * r
+        return (1.0 + a + 5.0 * r * r / 3.0) * np.exp(-a)
+    raise ValueError(f"unsupported Matern nu={nu}; use 1/2, 3/2 or 5/2")
 
 
 class _Pairwise:
@@ -423,9 +356,6 @@ class ClassicalKernel(KernelFn):
 
     def default_params(self) -> ParamVector:
         return param_vector(self.expr, self.p_scale)
-
-    def eval(self, x, xp, params: ParamVector) -> float:
-        return eval_expr(with_params(self.expr, params.values), x, xp)
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         return gram_expr(with_params(self.expr, params.values), X, X2)

@@ -51,9 +51,6 @@ class NNGPKernel(KernelFn):
         return ParamVector(names=names, values=values, lower=lower,
                            upper=upper, scales=scales)
 
-    def eval(self, x, xp, params: ParamVector) -> float:
-        return float(self.gram(np.atleast_2d(x), np.atleast_2d(xp), params)[0, 0])
-
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         X2 = np.atleast_2d(np.asarray(X2, dtype=float))

@@ -94,9 +94,6 @@ class SearchSpace:
             x[..., self._log] = np.log(x[..., self._log])
         return np.clip((x - self._offset) / self._width, 0.0, 1.0)
 
-    def center(self):
-        return self.from_unit(np.full(self.dim, 0.5))
-
 
 @dataclass
 class OptResult:

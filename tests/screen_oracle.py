@@ -1,8 +1,10 @@
-"""Per-candidate screening scores for exactness tests of ``screen``.
+"""References for the circuit search, for exactness tests.
 
-A frozen copy of how ``circuit_search.screen`` scored candidates before it
-built children from their parents' prefix states: each unrefined candidate
-gets its own ``QuantumKernel``, whose states are simulated from |0...0>.
+``screen_scores`` is a frozen copy of how ``circuit_search.screen`` scored
+candidates before it built children from their parents' prefix states: each
+unrefined candidate gets its own ``QuantumKernel``, whose states are
+simulated from |0...0>. ``involution_count`` counts the permutations that
+are their own inverse, one more than the size of the R_ZZ layer pool.
 Tests only; the library never imports it.
 """
 
@@ -11,6 +13,14 @@ from peskit.gp import (KernelEvaluationError, NotPositiveDefiniteError, beta,
                        log_marginal_likelihood)
 from peskit.optimizer import SENTINEL
 from peskit.quantum import QuantumKernel, build_variable_ansatz
+
+
+def involution_count(n):
+    """T(n) = T(n-1) + (n-1) T(n-2): permutations that are their own inverse."""
+    a, b = 1, 1
+    for k in range(2, n + 1):
+        a, b = b, b + (k - 1) * a
+    return b
 
 
 def screen_scores(candidates, data, cfg):

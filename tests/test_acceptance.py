@@ -19,8 +19,7 @@ from scipy.special import erf
 
 from peskit.bench import ExperimentConfig
 from peskit.circuit_search import (CircuitSearchConfig, canonical_layers,
-                                   involution_count, layer_pool,
-                                   search_circuit)
+                                   layer_pool, search_circuit)
 from peskit.data import split_random, standardize, synth_pes
 from peskit.gp import (beta, fit, log_marginal_likelihood, predict, rmse,
                        surrogate_objective)
@@ -32,6 +31,7 @@ from peskit.quantum import (GateOp, QuantumKernel, QubitLayer, apply_gate,
                             build_fixed_ansatz, build_variable_ansatz,
                             zero_state)
 from quantum_oracle import fidelity_kernel, fidelity_via_adjoint
+from screen_oracle import involution_count
 
 rng = np.random.default_rng(20240817)
 
@@ -108,7 +108,7 @@ def test_fidelity_kernel_identities():
     # cached-statevector path vs literal apply-U(x)-then-adjoint-U(x') path
     for _ in range(10):
         m = int(rng.integers(2, 5))
-        pool = layer_pool(m).layers
+        pool = layer_pool(m)
         layers = tuple(pool[rng.integers(len(pool))]
                        for _ in range(rng.integers(0, 3)))
         spec = build_variable_ansatz(m, layers)
@@ -209,8 +209,8 @@ def test_beam_search_equals_exhaustive_oracle():
                        warm_start=warm)
         return np.asarray(res.best_point, float), res.best_value
 
-    moves = layer_pool(3).layers + tuple(QubitLayer(k)
-                                         for k in ("H", "RZ", "RY"))
+    moves = layer_pool(3) + tuple(QubitLayer(k)
+                                  for k in ("H", "RZ", "RY"))
     init = build_variable_ansatz(3, ()).default_params().values
     results = {(): optimize((), init, REFINE, "circuit")}
     for a in moves:
@@ -298,14 +298,14 @@ def test_nngp_recursion_matches_monte_carlo():
         b0 = sb2 + sw2 * (xp @ xp) / 3
         c0 = sb2 + sw2 * (x @ xp) / 3
         est1, se1 = _mc_layer(a0, b0, c0, vals[2] ** 2, vals[3] ** 2, n, mc_rng)
-        want1 = k1.eval(x, xp, pv1)
+        want1 = k1.gram([x], [xp], pv1)[0, 0]
         assert abs(est1 - want1) <= 3 * se1
         # second erf layer on top of the closed-form depth-1 covariance
-        a1 = k1.eval(x, x, pv1)
-        b1 = k1.eval(xp, xp, pv1)
+        a1 = k1.gram([x], [x], pv1)[0, 0]
+        b1 = k1.gram([xp], [xp], pv1)[0, 0]
         est2, se2 = _mc_layer(a1, b1, want1, vals[4] ** 2, vals[5] ** 2,
                               n, mc_rng)
-        want2 = k2.eval(x, xp, pv2)
+        want2 = k2.gram([x], [xp], pv2)[0, 0]
         assert abs(est2 - want2) <= 3 * se2
 
 

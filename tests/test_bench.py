@@ -146,6 +146,21 @@ def test_extrapolation_rows_and_tiny_test_set():
     assert tiny.n_test < 20  # almost everything sits below the threshold
 
 
+def test_extrapolation_with_constant_energies_has_empty_test_set(tmp_path):
+    # every energy equal: nothing lies above the threshold
+    rows = "".join(f"{1.0 + 0.05 * i},{2.0 - 0.03 * i},500.0\n"
+                   for i in range(30))
+    path = tmp_path / "flat.csv"
+    path.write_text("r1,r2,e\n" + rows)
+    cfg = ExperimentConfig.from_dict(
+        _config(dataset={"kind": "csv", "path": str(path)}, n_train_extrap=20))
+    with pytest.warns(UserWarning, match="empty test set"):
+        table, _ = run_extrapolation(cfg)
+    [row] = table.rows
+    assert row.n_test == 0
+    assert np.isnan(row.rmse)
+
+
 def test_result_table_csv_round_trip(tmp_path):
     cfg = ExperimentConfig.from_dict(_config())
     table, _ = run_interpolation(cfg)
@@ -232,6 +247,10 @@ def test_cli_bench_interp_and_report(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--config", path]) == cli.EXIT_OK
     assert "best RMSE per kernel family" in capsys.readouterr().out
+    # report reads only the results directory; it takes no run flags
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--config", path, "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_cli_report_without_results_is_data_error(tmp_path):

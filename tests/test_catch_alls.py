@@ -1,11 +1,14 @@
-"""Only two handlers in the library may catch every exception.
+"""Source checks of the library.
 
-``optimizer.maximize`` scores any failed objective as ``SENTINEL``, and
-``cli.main`` turns any uncaught error into an exit code. Everywhere else a
-handler names the failures it expects, so a bug propagates.
+Only two handlers may catch every exception: ``optimizer.maximize`` scores
+any failed objective as ``SENTINEL``, and ``cli.main`` turns any uncaught
+error into an exit code. Everywhere else a handler names the failures it
+expects, so a bug propagates. Every name a module exports must exist.
 """
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import peskit
@@ -47,3 +50,14 @@ def test_catch_alls_only_in_maximize_and_cli_main():
     stray = [hit for hit in found if hit[:2] not in ALLOWED]
     assert stray == []
     assert {(name, func) for name, func, _ in found} == ALLOWED
+
+
+def test_every_exported_name_resolves():
+    # a stale ``__all__`` entry would make ``from peskit.<module> import *``
+    # raise
+    modules = [importlib.import_module(f"peskit.{info.name}")
+               for info in pkgutil.iter_modules(peskit.__path__)]
+    assert len(modules) > 5
+    stale = [(m.__name__, name) for m in modules
+             for name in getattr(m, "__all__", ()) if not hasattr(m, name)]
+    assert stale == []

@@ -7,13 +7,13 @@ from peskit import circuit_search
 from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
                                    _child_states, _holdout_rmse,
                                    _prefix_states, canonical_layers, extend,
-                                   involution_count, layer_pool, refine,
-                                   screen, search_circuit, search_moves)
+                                   layer_pool, refine, screen, search_circuit,
+                                   search_moves)
 from peskit.data import Dataset, synth_pes
 from peskit.gp import NotPositiveDefiniteError
 from peskit.optimizer import SENTINEL
 from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
-from screen_oracle import screen_scores
+from screen_oracle import involution_count, screen_scores
 
 
 def test_involution_count_recurrence():
@@ -25,11 +25,11 @@ def test_involution_count_recurrence():
 def test_pool_size_matches_involutions(m, J):
     pool = layer_pool(m)
     assert len(pool) == J == involution_count(m) - 1
-    assert len(set(pool.layers)) == J
+    assert len(set(pool)) == J
 
 
 def test_pool_layers_are_valid_matchings():
-    for layer in layer_pool(4).layers:
+    for layer in layer_pool(4):
         qubits = [q for pair in layer for q in pair]
         assert len(qubits) == len(set(qubits))
         assert all(i < j for i, j in layer)
@@ -37,8 +37,8 @@ def test_pool_layers_are_valid_matchings():
 
 
 def test_pool_small_cases_exhaustive():
-    assert layer_pool(2).layers == (((0, 1),),)
-    assert layer_pool(3).layers == (((0, 1),), ((0, 2),), ((1, 2),))
+    assert layer_pool(2) == (((0, 1),),)
+    assert layer_pool(3) == (((0, 1),), ((0, 2),), ((1, 2),))
     with pytest.raises(ValueError):
         layer_pool(1)
 
@@ -64,12 +64,18 @@ def test_extend_counts_and_dedup():
     beam = BeamState(candidates=[_cand((((0, 1),),)), _cand((((0, 1),),))])
     children = extend(beam, pool)
     assert len(children) == 3
+    # a child the beam already holds is not a child again
+    beam = BeamState(candidates=[_cand((((0, 1),),)),
+                                 _cand((((0, 1),), ((0, 2),)))])
+    keys = [canonical_layers(c.layers) for c in extend(beam, pool)]
+    assert "0-1;0-2" not in keys
+    assert len(keys) == len(set(keys)) == 5
 
 
 def test_moves_are_pool_plus_single_qubit_layers():
     moves = search_moves(3)
-    assert moves == layer_pool(3).layers + (QubitLayer("H"), QubitLayer("RZ"),
-                                            QubitLayer("RY"))
+    assert moves == layer_pool(3) + (QubitLayer("H"), QubitLayer("RZ"),
+                                     QubitLayer("RY"))
     children = extend(BeamState(candidates=[_cand((((0, 1),),))]), moves)
     assert [canonical_layers(c.layers) for c in children] == \
         ["0-1;0-1", "0-1;0-2", "0-1;1-2", "0-1;H", "0-1;RZ", "0-1;RY"]

@@ -64,8 +64,10 @@ def test_kernel_matrix_symmetry_is_bitwise():
 
 def test_kernel_matrix_reports_offending_pair():
     class Bad(KernelFn):
-        def eval(self, x, xp, params):
-            return float("nan") if (x[0] > 0.9 and xp[0] > 0.9) else 1.0
+        def gram(self, X, X2, params):
+            # NaN wherever both rows' first coordinate exceeds 0.9
+            hot = np.outer(X[:, 0] > 0.9, X2[:, 0] > 0.9)
+            return np.where(hot, np.nan, 1.0)
 
     X = np.array([[0.1], [0.95]])
     with pytest.raises(KernelEvaluationError, match=r"\(1, 1\)"):

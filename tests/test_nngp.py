@@ -91,7 +91,7 @@ def test_eval_matches_gram_entry():
     x = rng.uniform(-1, 1, 3)
     xp = rng.uniform(-1, 1, 3)
     K = kernel.gram(np.vstack([x, xp]), np.vstack([x, xp]), pv)
-    assert kernel.eval(x, xp, pv) == pytest.approx(K[0, 1], abs=1e-14)
+    assert kernel.gram([x], [xp], pv)[0, 0] == pytest.approx(K[0, 1], abs=1e-14)
 
 
 def test_rectangular_gram_consistent_with_square():

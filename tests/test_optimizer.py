@@ -44,7 +44,7 @@ def test_unit_cube_round_trip():
                         scales=("log", "linear"))
     x = np.array([0.5, 2.0])
     assert np.allclose(space.from_unit(space.to_unit(x)), x)
-    assert np.allclose(space.center(), [1.0, 0.0])
+    assert np.allclose(space.from_unit(np.full(2, 0.5)), [1.0, 0.0])
     # out-of-box points clip instead of extrapolating
     assert np.all(space.to_unit(np.array([1e3, 10.0])) <= 1.0)
 
@@ -217,7 +217,8 @@ def test_maximize_bitwise_equals_per_lengthscale_oracle(P, budget):
     # history reproduce the per-lengthscale loop point for point
     for seed, scale in enumerate(("linear", "log", "mixed", "mixed")):
         space = _scaled_space(P, scale)
-        warm = 1.1 * space.center() if (seed + P) % 2 else None
+        center = space.from_unit(np.full(space.dim, 0.5))
+        warm = 1.1 * center if (seed + P) % 2 else None
         _assert_same_run(_bumpy, space, budget, seed, warm)
 
 
@@ -227,7 +228,8 @@ def test_maximize_bitwise_equals_oracle_when_objective_raises(objective, P,
                                                               budget):
     for seed, scale in enumerate(("linear", "log", "mixed")):
         space = _scaled_space(P, scale)
-        _assert_same_run(objective, space, budget, seed, 1.1 * space.center())
+        center = space.from_unit(np.full(space.dim, 0.5))
+        _assert_same_run(objective, space, budget, seed, 1.1 * center)
 
 
 def test_cholesky_each_marks_only_the_failed_slice():

@@ -7,9 +7,6 @@ kernel optimized with the same budget.
 Run:  python3 demos/classical_search_demo.py
 """
 
-import numpy as np
-from scipy.spatial.distance import pdist
-
 from peskit.data import split_random, standardize, synth_pes
 from peskit.gp import fit, predict, rmse
 from peskit.kernel_search import ClassicalSearchConfig, search_classical
@@ -17,9 +14,8 @@ from peskit.kernels import ClassicalKernel, serialize
 from peskit.optimizer import stable_seed
 
 
-def holdout_rmse(expr, pv, train, test, ys, mean, scale, p_scale):
-    gp = fit(ClassicalKernel(expr=expr, p_scale=p_scale), pv,
-             train.X, ys, sigma_n=0.0)
+def holdout_rmse(expr, pv, train, test, ys, mean, scale):
+    gp = fit(ClassicalKernel(expr=expr), pv, train.X, ys, sigma_n=0.0)
     return rmse(mean + scale * predict(gp, test.X), test.y)
 
 
@@ -28,21 +24,20 @@ def main():
     split = split_random(data, 300, seed=stable_seed("demo", 0))
     train, test = data.subset(split.train), data.subset(split.test)
     ys, mean, scale = standardize(train.y)
-    p_scale = float(np.median(pdist(train.X)))
 
     cfg = ClassicalSearchConfig(budget=30, final_budget=100, seed=0)
     expr, pv, trace = search_classical(train, cfg)
     print("search trace (iteration, BIC, kernel):")
     for row in trace:
         print(f"  {row.iteration}: BIC={row.criterion:9.2f}  {row.winner}")
-    err = holdout_rmse(expr, pv, train, test, ys, mean, scale, p_scale)
+    err = holdout_rmse(expr, pv, train, test, ys, mean, scale)
     print(f"\ncomposite winner: {serialize(expr)}")
     print(f"composite holdout RMSE: {err:.2f} cm^-1")
 
     rbf_cfg = ClassicalSearchConfig(bases=("RBF",), max_depth=1, budget=30,
                                     final_budget=100, seed=0)
     rexpr, rpv, _ = search_classical(train, rbf_cfg)
-    rerr = holdout_rmse(rexpr, rpv, train, test, ys, mean, scale, p_scale)
+    rerr = holdout_rmse(rexpr, rpv, train, test, ys, mean, scale)
     print(f"single-RBF holdout RMSE: {rerr:.2f} cm^-1")
 
 

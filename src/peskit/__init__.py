@@ -5,7 +5,7 @@ from .data import Dataset, MorsePes, load_csv, split_energy_threshold, \
     split_random, synth_pes, transform
 from .gp import (ParamVector, TrainedGP, beta, bic, build_kernel_matrix, fit,
                  log_marginal_likelihood, predict, rmse, surrogate_objective)
-from .kernels import ClassicalKernel, parse, serialize
+from .kernels import ClassicalKernel, serialize
 from .nngp import NNGPKernel, search_depth
 from .kernel_search import search_classical
 from .quantum import (Circuit, GateOp, QuantumKernel, QuantumKernelSpec,

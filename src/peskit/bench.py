@@ -245,7 +245,7 @@ def _run_cells(cells, cfg):
     return [_run_cell(*c, cfg) for c in cells]
 
 
-def _collect(cells, cfg, sort_key):
+def _collect(cells, cfg):
     results = _run_cells(cells, cfg)
     table = ResultTable()
     traces, winners = {}, {}
@@ -255,7 +255,7 @@ def _collect(cells, cfg, sort_key):
         if trace is not None:
             traces[f"trace_{family}_{_size_tag(size)}_{seed}"] = trace
         winners.setdefault(family, []).append((row.rmse, winner))
-    table.rows.sort(key=sort_key)
+    table.rows.sort(key=lambda r: (r.family, r.size, r.seed))
     best_winners = {fam: min(ws, key=lambda t: (np.nan_to_num(t[0], nan=np.inf)))[1]
                     for fam, ws in winners.items()}
     return table, {"traces": traces, "winners": best_winners}
@@ -277,8 +277,7 @@ def run_interpolation(config: ExperimentConfig):
             for seed in config.seeds:
                 split = split_random(data, n_train, seed=stable_seed("interp", n_train, seed))
                 cells.append((family, data, split, n_train, seed))
-    return _collect(cells, config,
-                    sort_key=lambda r: (r.family, r.size, r.seed))
+    return _collect(cells, config)
 
 
 def run_extrapolation(config: ExperimentConfig):
@@ -292,8 +291,7 @@ def run_extrapolation(config: ExperimentConfig):
                     data, frac, config.n_train_extrap,
                     seed=stable_seed("extrap", frac, seed))
                 cells.append((family, data, split, frac, seed))
-    return _collect(cells, config,
-                    sort_key=lambda r: (r.family, r.size, r.seed))
+    return _collect(cells, config)
 
 
 # ---------------------------------------------------------------------------

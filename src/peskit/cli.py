@@ -74,17 +74,9 @@ def cmd_search(args, family):
     return EXIT_OK
 
 
-def cmd_bench_interp(args):
+def cmd_bench(args, run):
     cfg = _load_config(args)
-    table, artifacts = run_interpolation(cfg)
-    emit_reports(table, artifacts, cfg.out_dir)
-    print(summarize(table), end="")
-    return EXIT_OK
-
-
-def cmd_bench_extrap(args):
-    cfg = _load_config(args)
-    table, artifacts = run_extrapolation(cfg)
+    table, artifacts = run(cfg)
     emit_reports(table, artifacts, cfg.out_dir)
     print(summarize(table), end="")
     return EXIT_OK
@@ -117,8 +109,8 @@ def build_parser():
         "search-quantum": functools.partial(cmd_search,
                                             family="quantum-variable"),
         "search-nngp": functools.partial(cmd_search, family="nngp"),
-        "bench-interp": cmd_bench_interp,
-        "bench-extrap": cmd_bench_extrap,
+        "bench-interp": functools.partial(cmd_bench, run=run_interpolation),
+        "bench-extrap": functools.partial(cmd_bench, run=run_extrapolation),
     }
     for name, fn in handlers.items():
         sp = sub.add_parser(name)

@@ -94,9 +94,6 @@ class KernelFn:
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         raise NotImplementedError
 
-    def default_params(self) -> ParamVector:
-        raise NotImplementedError
-
     def objective(self, logL: float) -> float:
         """The value a type-II fit of this kernel maximizes: logL itself."""
         return logL
@@ -185,8 +182,8 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     return K
 
 
-def _cholesky_with_jitter(A, jitter, cap=JITTER_CAP):
-    """Cholesky of A + j*I, escalating j by 10x up to cap on failure.
+def _cholesky_with_jitter(A, jitter):
+    """Cholesky of A + j*I, escalating j by 10x up to JITTER_CAP on failure.
 
     A is overwritten: each attempt sets its diagonal to d + j in place, d
     being the diagonal on entry, so jitters never accumulate. At the cap
@@ -203,11 +200,11 @@ def _cholesky_with_jitter(A, jitter, cap=JITTER_CAP):
             return np.linalg.cholesky(A), j
         except np.linalg.LinAlgError:
             nxt = DEFAULT_JITTER if j == 0 else j * 10.0
-            if nxt > cap:
+            if nxt > JITTER_CAP:
                 A.flat[::n + 1] = d
                 min_eig = float(np.linalg.eigvalsh(A)[0])
                 raise NotPositiveDefiniteError(
-                    f"factorization failed at jitter cap {cap:g}; "
+                    f"factorization failed at jitter cap {JITTER_CAP:g}; "
                     f"smallest eigenvalue {min_eig:.3e}",
                     min_eigenvalue=min_eig)
             j = nxt

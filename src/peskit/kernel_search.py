@@ -71,8 +71,8 @@ class _Scored:
 def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
     pv = param_vector(expr, p_scale=p_scale)
     seed = stable_seed(cfg.seed, "classical", serialize(expr))
-    res = maximize_logl(ClassicalKernel(expr=expr, p_scale=p_scale), pv, X, y,
-                        budget, seed, cfg.sigma_n)
+    res = maximize_logl(ClassicalKernel(expr=expr), pv, X, y, budget, seed,
+                        cfg.sigma_n)
     fitted = with_params(expr, res.best_point)
     return _Scored(expr=fitted, logL=res.best_value,
                    bic=bic(res.best_value, pv.size, y.size), M=pv.size)

@@ -2,13 +2,12 @@
 
 Five base families (RBF, dot product, rational quadratic, periodic, Matern
 with half-integer smoothness) plus sum/product trees with positive
-combination coefficients, a canonical text serialization, and a parser.
+combination coefficients, and a canonical text serialization.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -27,7 +26,6 @@ __all__ = [
     "param_vector",
     "with_params",
     "serialize",
-    "parse",
     "ClassicalKernel",
 ]
 
@@ -239,7 +237,12 @@ def _fmt(v):
 
 
 def serialize(expr) -> str:
-    """Canonical text form, round-trip exact through ``parse``."""
+    """Canonical text form, every number printed by ``repr``.
+
+    The text is exact: two expressions serialize alike only if their trees
+    and parameters are bitwise equal. It keys the search's candidates, seeds
+    their fits and is the composite winner's file content.
+    """
     if isinstance(expr, Leaf):
         body = expr.kind
         names = _KIND_PARAMS[expr.kind]
@@ -254,96 +257,6 @@ def serialize(expr) -> str:
     return body
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)"
-                    r"|(?P<ident>[A-Za-z][A-Za-z0-9]*)"
-                    r"|(?P<sym>[()\[\]=,+*]))")
-
-
-def _tokenize(s):
-    out, pos = [], 0
-    while pos < len(s):
-        m = _TOKEN.match(s, pos)
-        if not m:
-            if s[pos:].strip() == "":
-                break
-            raise ValueError(f"cannot tokenize kernel expression at {s[pos:]!r}")
-        pos = m.end()
-        if m.group("num") is not None:
-            out.append(("num", float(m.group("num"))))
-        elif m.group("ident") is not None:
-            out.append(("ident", m.group("ident")))
-        else:
-            out.append(("sym", m.group("sym")))
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens):
-        self.toks = tokens
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
-
-    def next(self):
-        t = self.peek()
-        self.pos += 1
-        return t
-
-    def expect(self, sym):
-        kind, val = self.next()
-        if kind != "sym" or val != sym:
-            raise ValueError(f"expected {sym!r} in kernel expression, got {val!r}")
-
-    def node(self):
-        coef = None
-        if self.peek()[0] == "num":
-            coef = self.next()[1]
-            self.expect("*")
-        kind, val = self.peek()
-        if kind == "sym" and val == "(":
-            self.next()
-            left = self.node()
-            op_kind, op = self.next()
-            if op_kind != "sym" or op not in "+*":
-                raise ValueError(f"expected + or * in kernel expression, got {op!r}")
-            right = self.node()
-            self.expect(")")
-            cls = Sum if op == "+" else Prod
-            return cls(left=left, right=right, coef=coef)
-        if kind != "ident":
-            raise ValueError(f"expected base kernel name, got {val!r}")
-        self.next()
-        if val not in _KIND_PARAMS:
-            raise ValueError(f"unknown base kernel {val!r}")
-        names = _KIND_PARAMS[val]
-        params = []
-        if names:
-            self.expect("[")
-            for i, nm in enumerate(names):
-                k2, v2 = self.next()
-                if k2 != "ident" or v2 != nm:
-                    raise ValueError(f"expected parameter {nm!r}, got {v2!r}")
-                self.expect("=")
-                k3, v3 = self.next()
-                if k3 != "num":
-                    raise ValueError("expected numeric parameter value")
-                params.append(v3)
-                if i < len(names) - 1:
-                    self.expect(",")
-            self.expect("]")
-        return Leaf(kind=val, params=tuple(params), coef=coef)
-
-
-def parse(s: str):
-    """Parse the canonical text form back into an expression tree."""
-    p = _Parser(_tokenize(s))
-    expr = p.node()
-    if p.pos != len(p.toks):
-        raise ValueError("trailing tokens in kernel expression")
-    return expr
-
-
 # ---------------------------------------------------------------------------
 # KernelFn adapter
 
@@ -352,10 +265,6 @@ class ClassicalKernel(KernelFn):
     """KernelFn view of a composite expression; parameters supplied externally."""
 
     expr: object
-    p_scale: float = 1.0
-
-    def default_params(self) -> ParamVector:
-        return param_vector(self.expr, self.p_scale)
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         return gram_expr(with_params(self.expr, params.values), X, X2)

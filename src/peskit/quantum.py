@@ -80,21 +80,6 @@ class Circuit:
                             f"qubit {q} operated by more than one gate in a layer")
                     seen.add(q)
 
-    def to_json(self, encoding=None) -> str:
-        doc = {"m": self.m,
-               "layers": [[{"gate": g.kind, "qubits": list(g.qubits)}
-                           for g in layer] for layer in self.layers]}
-        if encoding is not None:
-            doc["encoding"] = encoding
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, s: str):
-        doc = json.loads(s)
-        layers = tuple(tuple(GateOp(kind=g["gate"], qubits=tuple(g["qubits"]))
-                             for g in layer) for layer in doc["layers"])
-        return cls(m=doc["m"], layers=layers), doc.get("encoding")
-
 
 def zero_state(m, batch=None):
     """|0...0> as amplitudes, optionally batched."""
@@ -185,12 +170,11 @@ class QuantumKernelSpec:
                            scales=("log",) * (m + 1))
 
     def to_json(self) -> str:
-        return self.circuit.to_json(encoding=self.encoding)
-
-    @classmethod
-    def from_json(cls, s: str):
-        circuit, encoding = Circuit.from_json(s)
-        return cls(circuit=circuit, encoding=encoding or "variable")
+        c = self.circuit
+        return json.dumps({"m": c.m,
+                           "layers": [[{"gate": g.kind, "qubits": list(g.qubits)}
+                                       for g in layer] for layer in c.layers],
+                           "encoding": self.encoding})
 
 
 def encode(x, params: ParamVector, gate: GateOp):

@@ -385,18 +385,16 @@ def test_converged_variable_circuit_beats_fixed_ansatz(
 # 9. composite classical search beats single-base kernels
 
 def test_composite_search_improves_on_single_bases():
-    from scipy.spatial.distance import pdist
     gains, comp_rmse, rbf_rmse = [], [], []
     for seed in range(5):
         data = synth_pes(3, 600, seed, kind="coupled-morse")
         split = split_random(data, 300, seed=stable_seed("c9", seed))
         train, test = data.subset(split.train), data.subset(split.test)
         ys, mean, scale = standardize(train.y)
-        p_scale = float(np.median(pdist(train.X)))
 
         def holdout(expr, pv):
-            gp = fit(ClassicalKernel(expr=expr, p_scale=p_scale), pv,
-                     train.X, ys, sigma_n=0.0, jitter=1e-10)
+            gp = fit(ClassicalKernel(expr=expr), pv, train.X, ys,
+                     sigma_n=0.0, jitter=1e-10)
             return rmse(mean + scale * predict(gp, test.X), test.y)
 
         cfg = ClassicalSearchConfig(budget=30, final_budget=100,

@@ -12,15 +12,14 @@ from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
                        build_kernel_matrix, fit, log_marginal_likelihood,
                        predict, rmse, surrogate_objective)
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
-                            _matern_r, new_leaf, with_params)
+                            _matern_r, new_leaf, param_vector, with_params)
 from peskit.nngp import NNGPKernel
 from peskit.quantum import QuantumKernel, build_fixed_ansatz, statevectors
 
 
 def _rbf(theta=1.0):
-    kernel = ClassicalKernel(expr=new_leaf("RBF", coef=None))
-    pv = kernel.default_params().with_values([theta])
-    return kernel, pv
+    expr = new_leaf("RBF", coef=None)
+    return ClassicalKernel(expr=expr), param_vector(expr).with_values([theta])
 
 
 def test_param_vector_with_values_replaces():
@@ -276,8 +275,7 @@ def _every_base_kind():
                           leaf("MAT52", (0.9,), 1.7)))),
             coef=0.6),
         coef=1.4)
-    kernel = ClassicalKernel(expr=expr)
-    return kernel, kernel.default_params()
+    return ClassicalKernel(expr=expr), param_vector(expr)
 
 
 def _nngp_depth2():

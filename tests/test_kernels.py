@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from kernel_oracle import (eval_dot, eval_expr, eval_matern, eval_periodic,
                            eval_rbf, eval_rq)
 from peskit.kernels import (BASE_KINDS, ClassicalKernel, Leaf, Prod, Sum,
                             ensure_coef, gram_expr, new_leaf, param_vector,
-                            parse, serialize, with_params)
+                            serialize, with_params)
 
 rng = np.random.default_rng(7)
 
@@ -97,7 +98,7 @@ def test_leaf_validation():
         Leaf("RQ", (1.0,))
 
 
-def test_serialize_parse_round_trip():
+def test_serialize_is_exact():
     expr = Sum(left=Leaf("RBF", (1.3,), coef=2.0),
                right=Prod(left=Leaf("MAT52", (0.7,), coef=1.1),
                           right=Leaf("PER", (2.0, 1.1), coef=None),
@@ -105,17 +106,16 @@ def test_serialize_parse_round_trip():
     text = serialize(expr)
     assert text == ("(2.0*RBF[th=1.3] + 0.5*(1.1*MAT52[l=0.7]"
                     " * PER[p=2.0,l=1.1]))")
-    assert parse(text) == expr
-    # round trip preserves full float precision
-    noisy = Leaf("RBF", (1.0 / 3.0,), coef=math.pi)
-    assert parse(serialize(noisy)) == noisy
-
-
-def test_parse_rejects_malformed_text():
-    for bad in ("RBF[th=]", "(RBF[th=1.0] +)", "FOO[l=1.0]",
-                "RBF[l=1.0]", "RBF[th=1.0] DOT", "2.0 RBF[th=1.0]"):
-        with pytest.raises(ValueError):
-            parse(bad)
+    # every printed number reads back as the stored float, bit for bit
+    third = 1.0 / 3.0
+    numbers = re.findall(r"[0-9.]+(?:e[+-]?[0-9]+)?",
+                         serialize(Leaf("RBF", (third,), coef=math.pi)))
+    assert [float(t).hex() for t in numbers] == [math.pi.hex(), third.hex()]
+    # values one ulp apart give different candidate keys and seeds
+    up = math.nextafter(third, math.inf)
+    assert serialize(Leaf("RBF", (third,))) != serialize(Leaf("RBF", (up,)))
+    assert (serialize(Leaf("RBF", (1.3,), coef=third))
+            != serialize(Leaf("RBF", (1.3,), coef=up)))
 
 
 def test_param_vector_preorder_flattening():
@@ -154,7 +154,7 @@ def test_periodic_bounds_scale_with_data():
 def test_classical_kernel_adapter():
     expr = Sum(left=new_leaf("RBF"), right=new_leaf("DOT"), coef=None)
     kernel = ClassicalKernel(expr=expr)
-    pv = kernel.default_params()
+    pv = param_vector(expr)
     X = rng.uniform(0.1, 1, (5, 2))
     G = kernel.gram(X, X, pv)
     want = eval_expr(with_params(expr, pv.values), X[1], X[2])

@@ -9,7 +9,7 @@ Run:  python3 demos/circuit_search_demo.py
 """
 
 from peskit.circuit_search import CircuitSearchConfig, search_circuit
-from peskit.data import split_random, standardize, synth_pes
+from peskit.data import Dataset, split_random, standardize, synth_pes
 from peskit.gp import fit, predict, rmse
 from peskit.optimizer import maximize_logl, stable_seed
 from peskit.quantum import QuantumKernel, build_fixed_ansatz, \
@@ -22,27 +22,29 @@ def main():
     data = synth_pes(3, 600, seed=0, kind="coupled-morse")
     split = split_random(data, 300, seed=stable_seed("demo", 0))
     train, test = data.subset(split.train), data.subset(split.test)
+    # the search fits the targets it is given: standardize them first
     ys, mean, scale = standardize(train.y)
+    train = Dataset(X=train.X, y=ys, source=train.source)
 
     def holdout(spec, values):
         gp = fit(QuantumKernel(spec), spec.default_params().with_values(values),
-                 train.X, ys, sigma_n=SIGMA_N)
+                 train.X, train.y, sigma_n=SIGMA_N)
         return rmse(mean + scale * predict(gp, test.X), test.y)
 
     def optimize_spec(spec, tag):
         return maximize_logl(QuantumKernel(spec), spec.default_params(),
-                             train.X, ys, 200, stable_seed(0, tag),
+                             train.X, train.y, 200, stable_seed(0, tag),
                              SIGMA_N).best_point
 
     cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
                               max_depth=8, seed=0, sigma_n=SIGMA_N,
-                              holdout=(test.X, test.y))
+                              holdout=(test.X, (test.y - mean) / scale))
     spec, params, trace = search_circuit(train, 9, cfg)
     print("search trace (iteration, beta, layers, holdout RMSE):")
     for row in trace:
         print(f"  {row.iteration}: beta={row.criterion:8.2f}  "
               f"[{row.winner or 'no appended layers'}]  "
-              f"RMSE={row.rmse_holdout:.1f}")
+              f"RMSE={scale * row.rmse_holdout:.1f}")
 
     print(f"\nconverged circuit RMSE:   {holdout(spec, params.values):8.2f}")
     zero = build_variable_ansatz(3, ())

@@ -220,7 +220,7 @@ _FITTERS = {
 def _run_cell(family, data, split, size, seed, cfg):
     t0 = time.perf_counter()
     train = data.subset(split.train)
-    # searches and scores operate on standardized targets; RMSE stays in cm^-1
+    # the one place targets are standardized; RMSE stays in cm^-1
     ys, mean, scale = standardize(train.y)
     train_std = Dataset(X=train.X, y=ys, source=train.source)
     kernel, params, trace, winner = _FITTERS[family](train_std, cfg, seed)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, standardize
 from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
                  TraceRow, beta, fit, log_marginal_likelihood, predict, rmse)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
@@ -158,19 +157,16 @@ def _child_states(prefix, spec, pv, X):
 def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
     """Score unrefined candidates at inherited parameters; keep the top M.
 
+    The candidates are distinct layer sequences, as ``extend`` makes them.
     Consecutive children of one parent share its prefix state, which is
     simulated once. A typed GP failure scores SENTINEL; one warning counts
     a call's failures.
     """
     X, y = data.X, data.y
     N = y.size
-    pool, seen, failures = [], set(), []
+    failures = []
     prefix_key = prefix = None
     for c in candidates:
-        key = canonical_layers(c.layers)
-        if key in seen:
-            continue
-        seen.add(key)
         if not c.refined:
             spec = build_variable_ansatz(X.shape[1], c.layers)
             pv = spec.default_params().with_values(c.params)
@@ -182,15 +178,14 @@ def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
                 c.log_o = kernel.objective(log_marginal_likelihood(
                     kernel, pv, X, y, sigma_n=cfg.sigma_n))
             except _GP_FAILURES as exc:
-                failures.append(f"[{key}]: {exc}")
+                failures.append(f"[{canonical_layers(c.layers)}]: {exc}")
                 c.log_o = SENTINEL
             del kernel  # free this child's states before the next is built
             c.beta_score = beta(c.log_o, X.shape[1] + 1, N)
-        pool.append(c)
     if failures:
         log.warning("scoring failed for %d candidates; first %s",
                     len(failures), failures[0])
-    pool.sort(key=lambda c: c.key)
+    pool = sorted(candidates, key=lambda c: c.key)
     protected = [c for c in pool if c.protected]
     rest = [c for c in pool if not c.protected]
     return BeamState(candidates=protected + rest[:M])
@@ -219,7 +214,8 @@ def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
     return beam
 
 
-def _holdout_rmse(best: Candidate, data, cfg, mean=0.0, scale=1.0):
+def _holdout_rmse(best: Candidate, data, cfg):
+    """RMSE on ``cfg.holdout``, whose targets share ``data.y``'s scale."""
     if cfg.holdout is None:
         return float("nan")
     Xt, yt = cfg.holdout
@@ -231,23 +227,24 @@ def _holdout_rmse(best: Candidate, data, cfg, mean=0.0, scale=1.0):
     except _GP_FAILURES as exc:
         log.warning("holdout RMSE failed: %s", exc)
         return float("nan")
-    return rmse(mean + scale * predict(gp, Xt), yt)
+    return rmse(predict(gp, Xt), yt)
 
 
 def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     """Beam search over gate-layer sequences; returns (spec, params,
     SearchTrace).
 
-    The depth-0 circuit (no appended layers) is always scored as the
-    baseline and retained outside the beam width. Each trace row holds the
-    best circuit's layer string, logO as score and beta as criterion.
+    The search fits ``data.y`` as given; a caller passes z-scored
+    targets, as ``bench._run_cell`` does, and ``config.holdout`` targets on
+    the same scale. The depth-0 circuit (no appended layers) is always
+    scored as the baseline and retained outside the beam width. Each trace
+    row holds the best circuit's layer string, logO as score and beta as
+    criterion.
     """
     if M < 1:
         raise ValueError("beam width M must be >= 1")
     cfg = config or CircuitSearchConfig()
     m = data.X.shape[1]
-    ys, mean, scale = standardize(data.y)
-    sdata = Dataset(X=data.X, y=ys, source=data.source)
     moves = search_moves(m)
     init = build_variable_ansatz(m, ()).default_params().values
 
@@ -257,20 +254,20 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     def row(iteration, n_candidates, best, t0):
         return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
                         best.log_o, best.beta_score, m + 1,
-                        _holdout_rmse(best, sdata, cfg, mean, scale),
+                        _holdout_rmse(best, data, cfg),
                         time.perf_counter() - t0)
 
     trace = SearchTrace()
     t0 = time.perf_counter()
-    beam = refine(screen(seeds, sdata, M, cfg), sdata, cfg)
+    beam = refine(screen(seeds, data, M, cfg), data, cfg)
     best = beam.best()
     trace.append(row(0, len(seeds), best, t0))
 
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
         children = extend(beam, moves)
-        beam = refine(screen(beam.candidates + children, sdata, M, cfg),
-                      sdata, cfg)
+        beam = refine(screen(beam.candidates + children, data, M, cfg),
+                      data, cfg)
         new_best = beam.best()
         trace.append(row(iteration, len(children), new_best, t0))
         improvement = new_best.beta_score - best.beta_score
@@ -281,7 +278,7 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     # final re-optimization of the winner at the larger budget
     values = best.params
     if cfg.final_budget >= 1:
-        values = _optimize(best, sdata, cfg.final_budget, "circuit-final",
+        values = _optimize(best, data, cfg.final_budget, "circuit-final",
                            cfg).best_point
     spec = build_variable_ansatz(m, best.layers)
     return spec, spec.default_params().with_values(values), trace

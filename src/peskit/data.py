@@ -23,8 +23,8 @@ __all__ = ["Dataset", "Split", "DataError", "transform", "load_csv",
 def standardize(y):
     """Z-score a target vector; returns (y_std, mean, scale) with scale > 0.
 
-    Kernel searches optimize likelihood-based scores on standardized
-    targets; raw energies stay in cm^-1 for predictions and RMSE.
+    ``bench._run_cell`` calls it once per cell; the searches fit its output
+    as given, and predictions are mapped back to cm^-1 for RMSE.
     """
     y = np.asarray(y, dtype=float).ravel()
     mean = float(y.mean())

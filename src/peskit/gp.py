@@ -101,14 +101,13 @@ class KernelFn:
 
 @dataclass(frozen=True)
 class TrainedGP:
-    """Factorized training-set kernel matrix, weight vector and log marginal
-    likelihood, all from one Cholesky factor.
+    """Weight vector and log marginal likelihood of a fitted GP, both from
+    one Cholesky factor of the training-set kernel matrix.
 
     Immutable after fit; concurrent predict calls are safe.
     """
 
     X: np.ndarray
-    L: np.ndarray
     alpha: np.ndarray
     kernel: KernelFn
     params: ParamVector
@@ -259,7 +258,7 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     logL = float(-0.5 * y @ alpha - 0.5 * logdet
                  - 0.5 * y.size * math.log(2.0 * math.pi))
-    return TrainedGP(X=X, L=L, alpha=alpha, kernel=kernel, params=params,
+    return TrainedGP(X=X, alpha=alpha, kernel=kernel, params=params,
                      sigma_n=sigma_n, jitter=used_jitter, logL=logL)
 
 

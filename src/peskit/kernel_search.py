@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import pdist
 
-from .data import standardize
 from .gp import SearchTrace, TraceRow, bic
 from .kernels import (ClassicalKernel, Prod, Sum, ensure_coef, new_leaf,
                       param_vector, serialize, with_params)
@@ -81,13 +80,13 @@ def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
 def search_classical(data, config: ClassicalSearchConfig | None = None):
     """Run the greedy composite-kernel search on a training set.
 
-    Returns (best expression, fitted ParamVector, SearchTrace); each trace
-    row's criterion is the step's best BIC and its score that candidate's
-    logL.
+    The search fits ``data.y`` as given; a caller passes z-scored
+    targets, as ``bench._run_cell`` does. Returns (best expression, fitted
+    ParamVector, SearchTrace); each trace row's criterion is the step's best
+    BIC and its score that candidate's logL.
     """
     cfg = config or ClassicalSearchConfig()
-    X = data.X
-    y, _, _ = standardize(data.y)  # scores live on the standardized scale
+    X, y = data.X, data.y
     dists = pdist(X)
     p_scale = float(np.median(dists)) if dists.size else 1.0
 
@@ -121,8 +120,6 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
         if converged:
             break
 
-    # re-optimize the winner at the larger final budget
-    final = _optimize_candidate(best.expr, X, y, cfg, cfg.final_budget, p_scale)
-    if final.bic >= best.bic:
-        best = final
+    # final re-fit: never below best, as maximize starts from best's point
+    best = _optimize_candidate(best.expr, X, y, cfg, cfg.final_budget, p_scale)
     return best.expr, param_vector(best.expr, p_scale=p_scale), trace

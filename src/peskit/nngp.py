@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import standardize
 from .gp import KernelFn, ParamVector, SearchTrace, TraceRow
 from .optimizer import maximize_logl, stable_seed
 
@@ -99,14 +98,15 @@ class NNGPSearchConfig:
 def search_depth(data, config: NNGPSearchConfig | None = None):
     """Grow NNGP depth until the optimized logL stops improving.
 
-    Returns (kernel, fitted ParamVector, SearchTrace) for the best depth
-    seen. Row L-1 holds depth L, with its logL as score and criterion.
+    The search fits ``data.y`` as given; a caller passes z-scored
+    targets, as ``bench._run_cell`` does. Returns (kernel, fitted
+    ParamVector, SearchTrace) for the best depth seen. Row L-1 holds depth
+    L, with its logL as score and criterion.
     """
     cfg = config or NNGPSearchConfig()
     if cfg.max_depth < 1:
         raise ValueError("max_depth must be >= 1")
-    X = data.X
-    y, _, _ = standardize(data.y)
+    X, y = data.X, data.y
     trace = SearchTrace()
     best = None  # (logL, kernel, params)
     prev_logL = None

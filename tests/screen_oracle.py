@@ -27,12 +27,8 @@ def screen_scores(candidates, data, cfg):
     """Canonical layer string -> (log_o, beta_score) of each candidate that
     ``screen`` would score, computed one candidate at a time."""
     X, y = data.X, data.y
-    seen, scores = set(), {}
+    scores = {}
     for c in candidates:
-        key = canonical_layers(c.layers)
-        if key in seen:
-            continue
-        seen.add(key)
         if c.refined:
             continue
         kernel = QuantumKernel(build_variable_ansatz(X.shape[1], c.layers))
@@ -42,5 +38,6 @@ def screen_scores(candidates, data, cfg):
                 sigma_n=cfg.sigma_n))
         except (NotPositiveDefiniteError, KernelEvaluationError):
             log_o = SENTINEL
-        scores[key] = (log_o, beta(log_o, X.shape[1] + 1, y.size))
+        scores[canonical_layers(c.layers)] = (
+            log_o, beta(log_o, X.shape[1] + 1, y.size))
     return scores

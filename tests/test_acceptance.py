@@ -10,6 +10,7 @@ config-validated here and skipped unless the ab initio dataset is present.
 import json
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -231,7 +232,7 @@ def test_beam_search_equals_exhaustive_oracle():
 
     cfg = CircuitSearchConfig(refine_budget=REFINE, final_budget=FINAL,
                               max_depth=2, seed=SEED, sigma_n=SN)
-    spec, params, _ = search_circuit(data, len(moves), cfg)
+    spec, params, _ = search_circuit(replace(data, y=ys), len(moves), cfg)
     # rebuild the appended layers between the leading H and final R_Y layers
     search_layers = tuple(
         tuple(g.qubits for g in layer) if layer[0].kind == "RZZ"
@@ -249,6 +250,7 @@ def test_beam_search_equals_exhaustive_oracle():
 @pytest.mark.parametrize("seed", range(5))
 def test_classical_trace_monotone(seed):
     data = synth_pes(2, 80, seed)
+    data = replace(data, y=standardize(data.y)[0])
     cfg = ClassicalSearchConfig(budget=6, final_budget=6, max_depth=3,
                                 seed=seed)
     _, _, trace = search_classical(data, cfg)
@@ -259,6 +261,7 @@ def test_classical_trace_monotone(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_circuit_trace_monotone(seed):
     data = synth_pes(3, 60, seed).subset(range(50))
+    data = replace(data, y=standardize(data.y)[0])
     cfg = CircuitSearchConfig(refine_budget=8, final_budget=8, max_depth=3,
                               seed=seed, sigma_n=0.1)
     _, _, trace = search_circuit(data, 2, cfg)
@@ -361,7 +364,7 @@ def circuit_benchmark_medians():
 
         cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
                                   max_depth=8, seed=seed, sigma_n=SIGMA_N)
-        spec, params, _ = search_circuit(train, 9, cfg)
+        spec, params, _ = search_circuit(replace(train, y=ys), 9, cfg)
         conv.append(holdout(spec, params.values))
 
         fixed = build_fixed_ansatz(3)
@@ -399,7 +402,7 @@ def test_composite_search_improves_on_single_bases():
 
         cfg = ClassicalSearchConfig(budget=30, final_budget=100,
                                     seed=stable_seed(seed, "cls"))
-        expr, pv, trace = search_classical(train, cfg)
+        expr, pv, trace = search_classical(replace(train, y=ys), cfg)
         # iteration 0 scores exactly the single-base pool
         gains.append(trace.rows[-1].criterion - trace.rows[0].criterion)
         comp_rmse.append(holdout(expr, pv))
@@ -407,7 +410,7 @@ def test_composite_search_improves_on_single_bases():
         rbf_cfg = ClassicalSearchConfig(bases=("RBF",), max_depth=1,
                                         budget=30, final_budget=100,
                                         seed=stable_seed(seed, "cls"))
-        rexpr, rpv, _ = search_classical(train, rbf_cfg)
+        rexpr, rpv, _ = search_classical(replace(train, y=ys), rbf_cfg)
         rbf_rmse.append(holdout(rexpr, rpv))
     assert min(gains) >= 1.0
     assert np.median(comp_rmse) <= np.median(rbf_rmse)

@@ -135,6 +135,20 @@ def test_row_score_is_the_fit_objective_and_criterion_its_bic(monkeypatch):
         assert row.criterion == bic(row.score, row.M, 40)
 
 
+def test_nngp_row_score_is_its_trace_best():
+    # the cell standardizes the targets once and the search fits them as
+    # given, so the row rescores exactly the fit its trace ranked best
+    cfg = ExperimentConfig.from_dict(_config(
+        dataset={"kind": "synthetic", "dims": 3, "n_points": 400, "seed": 0,
+                 "pes": "coupled-morse"},
+        families=["nngp"], n_train=[100], seeds=[1], nngp_budget=30,
+        nngp_max_depth=3, sigma_n=0.1))
+    table, artifacts = run_interpolation(cfg)
+    (row,) = table.rows
+    trace = artifacts["traces"]["trace_nngp_100_1"]
+    assert row.score == max(r.score for r in trace)
+
+
 def test_extrapolation_rows_and_tiny_test_set():
     cfg = ExperimentConfig.from_dict(
         _config(thresholds=[0.5, 0.99], n_train_extrap=20))

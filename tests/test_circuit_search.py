@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
                                    _prefix_states, canonical_layers, extend,
                                    layer_pool, refine, screen, search_circuit,
                                    search_moves)
-from peskit.data import Dataset, synth_pes
-from peskit.gp import NotPositiveDefiniteError
+from peskit.data import standardize, synth_pes
+from peskit.gp import NotPositiveDefiniteError, fit, predict, rmse
 from peskit.optimizer import SENTINEL
-from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
+from peskit.quantum import (QuantumKernel, QubitLayer, build_variable_ansatz,
+                            statevectors)
 from screen_oracle import involution_count, screen_scores
 
 
@@ -89,10 +91,9 @@ def test_repeated_layers_are_legal_children():
 
 
 def _search_data(n=40, seed=0):
+    # a search fits the targets it is given; callers standardize them
     data = synth_pes(3, n + 20, seed=seed).subset(range(n))
-    from peskit.data import standardize
-    ys, _, _ = standardize(data.y)
-    return Dataset(X=data.X, y=ys, source="test")
+    return replace(data, y=standardize(data.y)[0])
 
 
 def test_screen_retains_top_m_plus_protected():
@@ -112,13 +113,6 @@ def test_screen_clamps_when_m_exceeds_pool():
     data = _search_data()
     cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
     beam = screen([_cand((((0, 1),),))], data, 10, cfg)
-    assert len(beam.candidates) == 1
-
-
-def test_screen_dedups_identical_candidates():
-    data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
-    beam = screen([_cand((((0, 1),),)), _cand((((0, 1),),))], data, 5, cfg)
     assert len(beam.candidates) == 1
 
 
@@ -218,12 +212,17 @@ def test_holdout_rmse_is_nan_when_fit_is_not_positive_definite(
     cfg = CircuitSearchConfig(sigma_n=0.1, seed=0,
                               holdout=(data.X[:5], data.y[:5]))
     best = _cand((((0, 1),),))
-    assert np.isfinite(_holdout_rmse(best, data, cfg))
+    # the RMSE is in the units of the holdout targets, as given
+    spec = build_variable_ansatz(3, best.layers)
+    pv = spec.default_params().with_values(best.params)
+    gp = fit(QuantumKernel(spec), pv, data.X, data.y, sigma_n=0.1)
+    assert _holdout_rmse(best, data, cfg) == rmse(predict(gp, data.X[:5]),
+                                                  data.y[:5])
 
-    def fit(*args, **kwargs):
+    def failing_fit(*args, **kwargs):
         raise NotPositiveDefiniteError("factorization failed")
 
-    monkeypatch.setattr(circuit_search, "fit", fit)
+    monkeypatch.setattr(circuit_search, "fit", failing_fit)
     caplog.set_level(logging.WARNING, logger="peskit.circuit_search")
     assert np.isnan(_holdout_rmse(best, data, cfg))
     assert len(caplog.records) == 1
@@ -266,7 +265,7 @@ def _quick_cfg(seed=0, holdout=None):
 
 
 def test_search_is_deterministic():
-    data = synth_pes(3, 80, seed=0).subset(range(60))
+    data = _search_data(60, seed=0)
     s1, p1, t1 = search_circuit(data, 2, _quick_cfg())
     s2, p2, t2 = search_circuit(data, 2, _quick_cfg())
     assert s1 == s2
@@ -275,7 +274,7 @@ def test_search_is_deterministic():
 
 
 def test_search_trace_monotone_and_winner_beats_baseline():
-    data = synth_pes(3, 80, seed=1).subset(range(60))
+    data = _search_data(60, seed=1)
     _, _, trace = search_circuit(data, 3, _quick_cfg(seed=1))
     betas = [r.criterion for r in trace]
     assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
@@ -285,7 +284,7 @@ def test_search_trace_monotone_and_winner_beats_baseline():
 
 
 def test_search_winner_respects_layer_constraint():
-    data = synth_pes(3, 70, seed=2).subset(range(50))
+    data = _search_data(50, seed=2)
     spec, _, _ = search_circuit(data, 2, _quick_cfg(seed=2))
     for layer in spec.circuit.layers:
         qubits = [q for g in layer for q in g.qubits]
@@ -293,17 +292,34 @@ def test_search_winner_respects_layer_constraint():
 
 
 def test_search_validates_beam_width():
-    data = synth_pes(3, 60, seed=0).subset(range(40))
     with pytest.raises(ValueError):
-        search_circuit(data, 0, _quick_cfg())
+        search_circuit(_search_data(), 0, _quick_cfg())
 
 
 def test_holdout_rmse_in_trace():
     data = synth_pes(3, 80, seed=3)
     train = data.subset(range(60))
     test = data.subset(range(60, 80))
-    _, _, trace = search_circuit(train, 2,
-                                 _quick_cfg(seed=3, holdout=(test.X, test.y)))
+    ys, mean, scale = standardize(train.y)
+    holdout = (test.X, (test.y - mean) / scale)
+    _, _, trace = search_circuit(replace(train, y=ys), 2,
+                                 _quick_cfg(seed=3, holdout=holdout))
     assert all(np.isfinite(r.rmse_holdout) for r in trace)
-    # holdout errors are in the raw energy units, not standardized ones
-    assert all(r.rmse_holdout > 1.0 for r in trace)
+    # holdout errors are on the holdout targets' scale; scaled back they
+    # are in the raw energy units
+    assert all(scale * r.rmse_holdout > 1.0 for r in trace)
+
+
+def test_search_screens_distinct_candidates(monkeypatch):
+    # screen relies on extend never handing it one layer sequence twice
+    calls, real = [], circuit_search.screen
+
+    def screen(candidates, data, M, cfg):
+        keys = [canonical_layers(c.layers) for c in candidates]
+        calls.append(len(keys))
+        assert len(set(keys)) == len(keys)
+        return real(candidates, data, M, cfg)
+
+    monkeypatch.setattr(circuit_search, "screen", screen)
+    search_circuit(_search_data(60, seed=1), 3, _quick_cfg(seed=1))
+    assert len(calls) >= 2

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from peskit.circuit_search import CircuitSearchConfig, search_circuit
-from peskit.data import synth_pes, write_rows
+from peskit.data import standardize, synth_pes, write_rows
 from peskit.gp import SearchTrace, TraceRow
 from peskit.kernel_search import (DEFAULT_BASES, ClassicalSearchConfig,
                                   expand, search_classical)
@@ -12,6 +14,12 @@ from peskit.nngp import NNGPSearchConfig, search_depth
 
 FAST = ClassicalSearchConfig(bases=("RBF", "DOT", "MAT52"), budget=8,
                              final_budget=10, max_depth=3, seed=0)
+
+
+def _search_data(n_points, seed, n):
+    # a search fits the targets it is given; callers standardize them
+    data = synth_pes(2, n_points, seed=seed).subset(range(n))
+    return replace(data, y=standardize(data.y)[0])
 
 
 def test_expand_shapes_and_count():
@@ -38,7 +46,7 @@ def test_expand_attaches_coef_to_bare_incumbent():
 
 
 def test_search_returns_fitted_winner_and_trace():
-    data = synth_pes(2, 80, seed=0).subset(range(60))
+    data = _search_data(80, 0, 60)
     expr, params, trace = search_classical(data, FAST)
     assert isinstance(trace, SearchTrace)
     assert len(trace.rows) >= 1
@@ -50,14 +58,14 @@ def test_search_returns_fitted_winner_and_trace():
 
 
 def test_search_best_bic_trace_is_monotone():
-    data = synth_pes(2, 80, seed=1).subset(range(60))
+    data = _search_data(80, 1, 60)
     _, _, trace = search_classical(data, FAST)
     bics = [r.criterion for r in trace]
     assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bics, bics[1:]))
 
 
 def test_search_is_deterministic():
-    data = synth_pes(2, 70, seed=2).subset(range(50))
+    data = _search_data(70, 2, 50)
     e1, p1, t1 = search_classical(data, FAST)
     e2, p2, t2 = search_classical(data, FAST)
     assert serialize(e1) == serialize(e2)
@@ -77,8 +85,7 @@ SEARCHES = {
 
 @pytest.mark.parametrize("search", SEARCHES)
 def test_trace_csv(tmp_path, search):
-    data = synth_pes(2, 70, seed=3).subset(range(50))
-    _, _, trace = SEARCHES[search](data)
+    _, _, trace = SEARCHES[search](_search_data(70, 3, 50))
     path = tmp_path / "trace.csv"
     write_rows(trace, TraceRow, path)
     lines = path.read_text().strip().splitlines()

@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from peskit.data import synth_pes
+from peskit.data import standardize, synth_pes
 from peskit.gp import SearchTrace, TraceRow
 from peskit.nngp import NNGPKernel, NNGPSearchConfig, search_depth
 
@@ -105,6 +107,7 @@ def test_rectangular_gram_consistent_with_square():
 
 def test_search_depth_returns_trace_and_is_deterministic():
     data = synth_pes(2, 60, seed=3).subset(range(40))
+    data = replace(data, y=standardize(data.y)[0])
     cfg = NNGPSearchConfig(budget=10, max_depth=3, seed=1)
     k1, p1, t1 = search_depth(data, cfg)
     k2, p2, t2 = search_depth(data, cfg)

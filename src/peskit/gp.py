@@ -3,6 +3,11 @@
 Implements kernel-matrix assembly, Cholesky-based fitting and prediction,
 the log marginal likelihood, the stabilized surrogate objective log(L + d),
 and the BIC / beta selection scores used by the kernel searches.
+
+A fit factors the N x N kernel matrix, or, for a kernel with r < N
+features and a positive noise level, the r x r matrix of the weight-space
+view (Rasmussen & Williams 2006, sec. 2.1); both give the same logL and
+weight vector up to round-off.
 """
 
 from __future__ import annotations
@@ -89,7 +94,14 @@ class KernelFn:
     Subclasses implement ``gram``, the matrix of k(x, x') over the rows of
     two input sets. It must return a fresh float array that no one else
     holds: ``build_kernel_matrix`` and ``fit`` overwrite it in place.
+
+    A kernel that is an inner product of r real features may also report
+    ``n_features = r`` and implement ``features(X, params)``, the (B, r)
+    matrix Phi with ``gram(X, X2) = Phi(X) @ Phi(X2).T``. ``fit`` then works
+    in weight space whenever r < N and the noise level is positive.
     """
+
+    n_features = None  # no finite feature map
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         raise NotImplementedError
@@ -102,7 +114,9 @@ class KernelFn:
 @dataclass(frozen=True)
 class TrainedGP:
     """Weight vector and log marginal likelihood of a fitted GP, both from
-    one Cholesky factor of the training-set kernel matrix.
+    one Cholesky factor: of the training-set kernel matrix, or of the
+    r x r weight-space matrix when ``fit`` works in weight space.
+    ``alpha`` is (K + (sigma_n^2 + jitter) I)^-1 y either way.
 
     Immutable after fit; concurrent predict calls are safe.
     """
@@ -158,6 +172,15 @@ def _strict_lower(n):
     return mask
 
 
+def _input_rows(X):
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[0] < 1:
+        raise ValueError("need at least one input row")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("non-finite input rows")
+    return X
+
+
 def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     """Assemble the N x N kernel matrix; exactly symmetric by mirroring.
 
@@ -165,11 +188,7 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     overwritten, in place, by the upper one. A non-finite entry raises
     ``KernelEvaluationError`` naming the first offending pair.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] < 1:
-        raise ValueError("need at least one input row")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("non-finite input rows")
+    X = _input_rows(X)
     K = np.asarray(kernel.gram(X, X, params), dtype=float)
     if not np.all(np.isfinite(K)):
         i, j = np.argwhere(~np.isfinite(K))[0]
@@ -242,6 +261,11 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     The log marginal likelihood -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi
     comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1). The
     Gram is assembled once and its diagonal shifted in place.
+
+    A kernel with ``n_features`` r < N is fitted in weight space when
+    sigma_n > 0 (see ``_fit_weight_space``); its features are only built
+    then. At sigma_n = 0 the noise is the bare jitter, too small for the
+    weight-space quadratic term, and the N x N path is kept.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
@@ -251,15 +275,56 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
         raise ValueError("non-finite targets")
     if sigma_n < 0 or jitter < 0:
         raise ValueError("sigma_n and jitter must be non-negative")
-    A = build_kernel_matrix(kernel, params, X)
-    A.flat[::A.shape[0] + 1] += sigma_n ** 2
-    L, used_jitter = _cholesky_with_jitter(A, jitter)
-    alpha = _solve_lower_t(L, _solve_lower(L, y))
-    logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-    logL = float(-0.5 * y @ alpha - 0.5 * logdet
-                 - 0.5 * y.size * math.log(2.0 * math.pi))
+    if sigma_n > 0 and kernel.n_features is not None \
+            and kernel.n_features < y.size:
+        alpha, logL, used_jitter = _fit_weight_space(
+            kernel, params, _input_rows(X), y, sigma_n, jitter)
+    else:
+        A = build_kernel_matrix(kernel, params, X)
+        A.flat[::A.shape[0] + 1] += sigma_n ** 2
+        L, used_jitter = _cholesky_with_jitter(A, jitter)
+        alpha = _solve_lower_t(L, _solve_lower(L, y))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
+        logL = float(-0.5 * y @ alpha - 0.5 * logdet
+                     - 0.5 * y.size * math.log(2.0 * math.pi))
     return TrainedGP(X=X, alpha=alpha, kernel=kernel, params=params,
                      sigma_n=sigma_n, jitter=used_jitter, logL=logL)
+
+
+def _fit_weight_space(kernel, params, X, y, sigma_n, jitter):
+    """(alpha, logL, jitter) of ``fit`` from the r x r factor of
+    C = Phi^T Phi + s^2 I, with K = Phi Phi^T and s^2 = sigma_n^2 + jitter.
+
+    By Woodbury and Sylvester, with b = L_C^-1 Phi^T y:
+    y^T A^-1 y = (y^T y - b^T b) / s^2, log|A| = log|C| + (N - r) log s^2,
+    and alpha = (y - Phi L_C^-T b) / s^2. The jitter ladder runs on C.
+
+    That alpha loses digits where Phi L_C^-T b is close to y, and
+    predictions sum it against the Gram; one step of iterative refinement
+    brings them back to the N x N path's round-off.
+    """
+    Phi = np.asarray(kernel.features(X, params), dtype=float)
+    if not np.all(np.isfinite(Phi)):
+        i, j = np.argwhere(~np.isfinite(Phi))[0]
+        raise KernelEvaluationError(
+            f"kernel returned non-finite feature {j} at row {i}")
+    n, r = Phi.shape
+    C = Phi.T @ Phi
+    C.flat[::r + 1] += sigma_n ** 2
+    L, used_jitter = _cholesky_with_jitter(C, jitter)
+    s2 = sigma_n ** 2 + used_jitter
+
+    def solve(v, b):  # A^-1 v, b being L_C^-1 Phi^T v
+        return (v - Phi @ _solve_lower_t(L, b)) / s2
+
+    b = _solve_lower(L, Phi.T @ y)
+    alpha = solve(y, b)
+    resid = y - Phi @ (Phi.T @ alpha) - s2 * alpha
+    alpha += solve(resid, _solve_lower(L, Phi.T @ resid))
+    logdet = 2.0 * float(np.sum(np.log(np.diag(L)))) + (n - r) * math.log(s2)
+    logL = float(-0.5 * (y @ y - b @ b) / s2 - 0.5 * logdet
+                 - 0.5 * n * math.log(2.0 * math.pi))
+    return alpha, logL, used_jitter
 
 
 def predict(gp: TrainedGP, Xstar) -> np.ndarray:

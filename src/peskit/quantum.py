@@ -230,7 +230,11 @@ def statevectors(spec: QuantumKernelSpec, params: ParamVector, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuantumKernel(KernelFn):
-    """KernelFn view of a fidelity kernel; Gram via cached statevectors."""
+    """KernelFn view of a fidelity kernel; Gram via cached statevectors.
+
+    k(x, x') = |<psi(x)|psi(x')>|^2 = Tr rho(x) rho(x') is an inner product
+    of density matrices, so the kernel has the 4^m real features of rho.
+    """
 
     spec: QuantumKernelSpec
 
@@ -240,6 +244,25 @@ class QuantumKernel(KernelFn):
     def states(self, X, params: ParamVector) -> np.ndarray:
         """The encoded states of the rows of ``X``, from which ``gram`` works."""
         return statevectors(self.spec, params, X)
+
+    @property
+    def n_features(self) -> int:
+        return 4 ** self.spec.m
+
+    def features(self, X, params: ParamVector) -> np.ndarray:
+        """Real coordinates of rho = |psi><psi| per row of ``X``, so that
+        ``features(X) @ features(X2).T`` is the Gram; shape (B, 4^m).
+
+        The columns are |psi_k|^2, then sqrt(2) Re(psi_k conj(psi_l)) and
+        sqrt(2) Im(psi_k conj(psi_l)) for k < l.
+        """
+        V = self.states(X, params)
+        d = V.shape[1]
+        k, l = np.triu_indices(d, 1)
+        rho = V[:, k] * V[:, l].conj()
+        rho *= math.sqrt(2.0)
+        return np.concatenate([V.real ** 2 + V.imag ** 2, rho.real, rho.imag],
+                              axis=1)
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         V1 = self.states(X, params)

@@ -6,6 +6,10 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
+from peskit.circuit_search import (Candidate, CircuitSearchConfig,
+                                   _ChildKernel, _child_states,
+                                   _prefix_states, screen, search_moves)
+from peskit.data import Dataset
 from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
                        KernelFn, NotPositiveDefiniteError,
                        ParamVector, _solve_lower, _solve_lower_t, beta, bic,
@@ -14,7 +18,8 @@ from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
                             _matern_r, new_leaf, param_vector, with_params)
 from peskit.nngp import NNGPKernel
-from peskit.quantum import QuantumKernel, build_fixed_ansatz, statevectors
+from peskit.quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
+                            build_variable_ansatz, statevectors)
 
 
 def _rbf(theta=1.0):
@@ -296,9 +301,17 @@ _FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("n", [40, 300])
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
-@pytest.mark.parametrize("sigma_n", [0.0, 0.05])
+def _takes_nxn_path(sigma_n, family, n):
+    kernel, _ = _FAMILIES[family]()
+    return sigma_n == 0 or kernel.n_features is None or kernel.n_features >= n
+
+
+# the weight-space case (0.05, quantum-fixed, 300) is checked to round-off
+# against the same oracle in test_weight_space_fit_matches_nxn_oracle
+@pytest.mark.parametrize("sigma_n,family,n", [
+    (sigma_n, family, n) for sigma_n in (0.0, 0.05)
+    for family in sorted(_FAMILIES) for n in (40, 300)
+    if _takes_nxn_path(sigma_n, family, n)])
 def test_gp_core_bitwise_equals_oracle(family, n, sigma_n):
     rng = np.random.default_rng(n)
     X = rng.uniform(-1.0, 1.0, (n, 3))
@@ -313,24 +326,159 @@ def test_gp_core_bitwise_equals_oracle(family, n, sigma_n):
     assert gp.jitter == jitter
 
 
-# N x N float64 arrays alive at a fit's peak: the Gram and the Cholesky
-# factor, or the complex overlap matrix (two) and the Gram built from it
+def _quantum_kernels(m):
+    """The fixed ansatz and a variable one with R_ZZ and R_Z layers."""
+    pairs = tuple((i, i + 1) for i in range(0, m - 1, 2))
+    variable = build_variable_ansatz(
+        m, (pairs, QubitLayer("RZ"), ((0, m - 1),)))
+    for spec in (build_fixed_ansatz(m), variable):
+        kernel = QuantumKernel(spec)
+        yield kernel, kernel.default_params().with_values(
+            np.random.default_rng(m).uniform(0.5, 3.0, m + 1))
+
+
+def _rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("sigma_n", [0.0, 0.05])
+def test_weight_space_fit_matches_nxn_oracle(m, sigma_n):
+    r = 4 ** m
+    for kernel, pv in _quantum_kernels(m):
+        for n in (r - 4, r + 10, 300):
+            rng = np.random.default_rng(n)
+            X = rng.uniform(-1.0, 1.0, (n, m))
+            # a smooth surface plus noise at sigma_n, as the fits see it
+            y = np.cos(2.0 * X[:, 0]) * X[:, -1] + 0.05 * rng.standard_normal(n)
+            Xstar = rng.uniform(-1.0, 1.0, (25, m))
+            K, L, alpha, logL, jitter = _oracle_fit(kernel, pv, X, y, sigma_n)
+            assert L is not None
+            gp = fit(kernel, pv, X, y, sigma_n=sigma_n)
+            if sigma_n == 0 or n <= r:  # the N x N path: bitwise
+                assert np.array_equal(gp.alpha, alpha)
+                assert gp.logL == logL
+                assert np.array_equal(predict(gp, Xstar),
+                                      kernel.gram(Xstar, X, pv) @ alpha)
+            else:
+                K_star = _oracle_gram(kernel, pv, np.vstack([Xstar, X]))[:25, 25:]
+                assert abs(gp.logL - logL) <= 1e-10 * abs(logL)
+                assert _rel(gp.alpha, alpha) <= 1e-10
+                assert _rel(predict(gp, Xstar), K_star @ alpha) <= 1e-10
+            assert gp.jitter == jitter
+
+
+def test_quantum_features_reproduce_the_gram():
+    for m in (2, 3):
+        for kernel, pv in _quantum_kernels(m):
+            X = np.random.default_rng(7).uniform(-1.0, 1.0, (30, m))
+            X2 = np.random.default_rng(8).uniform(-1.0, 1.0, (20, m))
+            Phi = kernel.features(X, pv)
+            assert Phi.shape == (30, kernel.n_features)
+            assert np.max(np.abs(Phi @ kernel.features(X2, pv).T
+                                 - kernel.gram(X, X2, pv))) < 1e-14
+
+
+def test_screen_child_kernel_fits_as_plain_kernel(monkeypatch):
+    calls = _count_feature_calls(monkeypatch)
+    m, n = 3, 120
+    spec = build_variable_ansatz(m, (((0, 1),), QubitLayer("RZ")))
+    pv = spec.default_params().with_values([0.7, 1.9, 3.1, 0.4])
+    rng = np.random.default_rng(9)
+    X = rng.uniform(-1.0, 1.0, (n, m))
+    y = rng.standard_normal(n)
+    child = _ChildKernel(spec, _child_states(_prefix_states(spec, pv, X),
+                                             spec, pv, X))
+    got = log_marginal_likelihood(child, pv, X, y, sigma_n=0.05)
+    assert calls == [n]  # weight space, through the child's own states
+    assert got == log_marginal_likelihood(QuantumKernel(spec), pv, X, y,
+                                          sigma_n=0.05)
+
+
+@pytest.mark.parametrize("n", [40, 100])  # N x N at 40 < 64, weight space at 100
+def test_non_finite_inputs_raise_on_both_paths(n):
+    kernel, pv = _quantum_fixed()
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+    X[3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite input rows"):
+        fit(kernel, pv, X, np.zeros(n), sigma_n=0.05)
+
+
+def test_non_finite_features_raise_kernel_evaluation_error(monkeypatch):
+    kernel, pv = _quantum_fixed()
+
+    def features(self, X, params):
+        Phi = np.ones((len(X), 64))
+        Phi[5, 2] = np.inf
+        return Phi
+
+    monkeypatch.setattr(QuantumKernel, "features", features)
+    with pytest.raises(KernelEvaluationError, match="feature 2 at row 5"):
+        fit(kernel, pv, np.zeros((100, 3)), np.zeros(100), sigma_n=0.05)
+
+
+def _count_feature_calls(monkeypatch):
+    """Record the row count of every ``QuantumKernel.features`` call."""
+    calls = []
+    real = QuantumKernel.features
+
+    def features(self, X, params):
+        calls.append(len(X))
+        return real(self, X, params)
+
+    monkeypatch.setattr(QuantumKernel, "features", features)
+    return calls
+
+
+def test_nxn_path_never_builds_features(monkeypatch):
+    calls = _count_feature_calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    # circuit-beam's shape: 4^5 = 1024 features against N = 150
+    kernel = QuantumKernel(build_fixed_ansatz(5))
+    X5 = rng.uniform(-1.0, 1.0, (150, 5))
+    y5 = rng.standard_normal(150)
+    fit(kernel, kernel.default_params(), X5, y5, sigma_n=0.05)
+    kernel, pv = _quantum_fixed()
+    fit(kernel, pv, rng.uniform(-1.0, 1.0, (300, 3)),
+        rng.standard_normal(300), sigma_n=0.0)
+    init = build_variable_ansatz(5, ()).default_params().values
+    cands = [Candidate(layers=(move,), params=init.copy())
+             for move in search_moves(5)[:4]]
+    screen(cands, Dataset(X=X5, y=y5), 2, CircuitSearchConfig(sigma_n=0.05))
+    assert calls == []
+
+
+# N x N float64 arrays alive at the peak of an N x N fit: the Gram and the
+# Cholesky factor, or the complex overlap matrix (two) and the Gram built
+# from it. The quantum case fits at sigma_n = 0, which keeps the N x N path.
 @pytest.mark.parametrize("family,grams", [("rbf", 2), ("nngp2", 2),
                                           ("quantum-fixed", 3)])
 def test_fit_peak_memory_in_grams(family, grams):
     n = 500
+    sigma_n = 0.0 if family == "quantum-fixed" else 0.05
+    assert _takes_nxn_path(sigma_n, family, n)
+    # the margin covers length-N vectors and statevectors
+    assert _fit_peak_bytes(family, n, sigma_n) / (n * n * 8) < grams + 0.25
+
+
+def test_weight_space_fit_peak_memory_below_one_gram():
+    n = 500
+    assert not _takes_nxn_path(0.05, "quantum-fixed", n)
+    assert _fit_peak_bytes("quantum-fixed", n, 0.05) < n * n * 8
+
+
+def _fit_peak_bytes(family, n, sigma_n):
     X = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 3))
     y = np.random.default_rng(6).standard_normal(n)
     kernel, pv = _FAMILIES[family]()
-    fit(kernel, pv, X, y, sigma_n=0.05)  # warm caches outside the trace
+    fit(kernel, pv, X, y, sigma_n=sigma_n)  # warm caches outside the trace
     tracemalloc.start()
     try:
-        fit(kernel, pv, X, y, sigma_n=0.05)
+        fit(kernel, pv, X, y, sigma_n=sigma_n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the margin covers length-N vectors and statevectors
-    assert peak / (n * n * 8) < grams + 0.25
+    return peak
 
 
 def test_triangular_solves_bitwise_equal_scipy_and_reject_singular():

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -49,7 +50,8 @@ class ComputeError(RuntimeError):
 
 # smallest allowed value of each count in the config
 _LEAST = {"classical_budget": 1, "final_budget": 1, "nngp_budget": 1,
-          "nngp_max_depth": 1, "beam_width": 1, "refine_budget": 0}
+          "nngp_max_depth": 1, "beam_width": 1, "refine_budget": 0,
+          "threads": 1}
 
 
 @dataclass
@@ -80,20 +82,25 @@ class ExperimentConfig:
         missing = {"dataset", "families", "seeds"} - set(doc)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        cfg = cls(**doc)
-        for fam in cfg.families:
+        return cls(**doc)
+
+    def __post_init__(self):
+        """Check every value; ``dataclasses.replace`` checks again."""
+        for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown kernel family {fam!r}; "
                                   f"choose from {FAMILIES}")
-        if not cfg.seeds:
+        if not self.seeds:
             raise ConfigError("seeds list must be nonempty")
-        if not isinstance(cfg.dataset, dict) or "kind" not in cfg.dataset:
+        if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' key")
         for key, least in _LEAST.items():
-            value = getattr(cfg, key)
+            value = getattr(self, key)
             if not isinstance(value, int) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}")
-        return cfg
+        if not (isinstance(self.sigma_n, (int, float))
+                and math.isfinite(self.sigma_n) and self.sigma_n >= 0):
+            raise ConfigError("sigma_n must be a finite number >= 0")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":

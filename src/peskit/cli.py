@@ -15,6 +15,7 @@ import argparse
 import functools
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .bench import (ConfigError, ExperimentConfig, ResultTable, emit_reports,
@@ -46,7 +47,7 @@ def _load_config(args) -> ExperimentConfig:
     if args.out is not None:
         cfg.out_dir = args.out
     if args.threads is not None:
-        cfg.threads = args.threads
+        cfg = replace(cfg, threads=args.threads)
     return cfg
 
 

@@ -48,9 +48,13 @@ def test_config_rejects_unknown_and_missing_keys():
     for key, bad in (("classical_budget", 0), ("final_budget", 0),
                      ("nngp_budget", 0), ("nngp_max_depth", 0),
                      ("beam_width", 0), ("refine_budget", -1),
-                     ("nngp_budget", "5")):
+                     ("nngp_budget", "5"), ("threads", 0),
+                     ("threads", "2"), ("threads", 1.5)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(_config(**{key: bad}))
+    for bad in (-0.1, float("nan"), float("inf"), "0.1", None):
+        with pytest.raises(ConfigError, match="sigma_n"):
+            ExperimentConfig.from_dict(_config(sigma_n=bad))
 
 
 def test_load_dataset_validation():
@@ -235,6 +239,14 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["fit", "--config", str(path)]) == cli.EXIT_CONFIG
     assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) \
         == cli.EXIT_CONFIG
+
+
+def test_cli_threads_override_is_checked(tmp_path, capsys):
+    path = _write_config(tmp_path)
+    for bad in ("0", "-2"):
+        assert cli.main(["fit", "--config", path, "--threads", bad]) \
+            == cli.EXIT_CONFIG
+        assert "threads must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_data_error_exit_code(tmp_path):

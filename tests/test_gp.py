@@ -10,13 +10,14 @@ from peskit.circuit_search import (Candidate, CircuitSearchConfig,
                                    _ChildKernel, _child_states,
                                    _prefix_states, screen, search_moves)
 from peskit.data import Dataset
-from peskit.gp import (DEFAULT_JITTER, JITTER_CAP, KernelEvaluationError,
-                       KernelFn, NotPositiveDefiniteError,
-                       ParamVector, _solve_lower, _solve_lower_t, beta, bic,
+from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
+                       KernelEvaluationError, KernelFn,
+                       NotPositiveDefiniteError, ParamVector, _solve_lower, _solve_lower_t, beta, bic,
                        build_kernel_matrix, fit, log_marginal_likelihood,
                        predict, rmse, surrogate_objective)
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
                             _matern_r, new_leaf, param_vector, with_params)
+from peskit import nngp
 from peskit.nngp import NNGPKernel
 from peskit.quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
                             build_variable_ansatz, statevectors)
@@ -306,11 +307,16 @@ def _takes_nxn_path(sigma_n, family, n):
     return sigma_n == 0 or kernel.n_features is None or kernel.n_features >= n
 
 
+B = _GRAM_BLOCK
+
+
 # the weight-space case (0.05, quantum-fixed, 300) is checked to round-off
-# against the same oracle in test_weight_space_fit_matches_nxn_oracle
+# against the same oracle in test_weight_space_fit_matches_nxn_oracle; above
+# B rows the classical and NNGP Grams are built from row blocks
 @pytest.mark.parametrize("sigma_n,family,n", [
     (sigma_n, family, n) for sigma_n in (0.0, 0.05)
-    for family in sorted(_FAMILIES) for n in (40, 300)
+    for family in sorted(_FAMILIES)
+    for n in (40, B - 1, B, B + 1, 2 * B + 3, 300)
     if _takes_nxn_path(sigma_n, family, n)])
 def test_gp_core_bitwise_equals_oracle(family, n, sigma_n):
     rng = np.random.default_rng(n)
@@ -324,6 +330,98 @@ def test_gp_core_bitwise_equals_oracle(family, n, sigma_n):
     assert np.array_equal(gp.alpha, alpha)
     assert gp.logL == logL
     assert gp.jitter == jitter
+
+
+# ---------------------------------------------------------------------------
+# row-block assembly above _GRAM_BLOCK rows
+
+def test_row_blocks_take_inner_products_from_the_whole_product():
+    # A block's own X[i0:i1] @ X[i0:].T need not match the whole product
+    # bit for bit: with numpy's OpenBLAS 0.3.31 on an AVX-512 Xeon, 152
+    # entries of this DOT Gram differ in the last bit. NNGP kernels also
+    # set inner_products; test_gp_core_bitwise_equals_oracle covers them.
+    n = 300
+    assert n > B
+    X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
+    expr = Leaf(kind="DOT", params=(), coef=None)
+    kernel, pv = ClassicalKernel(expr=expr), param_vector(expr)
+    assert kernel.inner_products
+    K = _oracle_fit(kernel, pv, X, np.zeros(n), 0.05)[0]
+    assert np.array_equal(build_kernel_matrix(kernel, pv, X), K)
+
+
+class _Outer(KernelFn):
+    """k(x, x') = x[0] x'[0]^2, asymmetric by construction; records the
+    shape of every ``gram`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def gram(self, X, X2, params):
+        self.calls.append((len(X), len(X2)))
+        return np.outer(X[:, 0], X2[:, 0] ** 2)
+
+
+def test_row_blocks_keep_the_upper_triangle():
+    n = 2 * B + 3
+    X = np.random.default_rng(3).uniform(-1.0, 1.0, (n, 2))
+    kernel = _Outer()
+    K = build_kernel_matrix(kernel, None, X)
+    G = np.outer(X[:, 0], X[:, 0] ** 2)
+    assert np.array_equal(K, np.triu(G) + np.triu(G, 1).T)
+    assert kernel.calls == [(B, n), (B, n - B), (3, 3)]
+
+
+def test_row_blocks_report_the_global_pair():
+    class Bad(KernelFn):
+        def gram(self, X, X2, params):
+            # NaN where the row's first and the column's second coordinate
+            # exceed 0.9: only at pair (B + 5, 2B + 1) below
+            return np.where(np.outer(X[:, 0] > 0.9, X2[:, 1] > 0.9),
+                            np.nan, 1.0)
+
+    X = np.zeros((2 * B + 3, 2))
+    X[B + 5, 0] = X[2 * B + 1, 1] = 0.95
+    with pytest.raises(KernelEvaluationError,
+                       match=rf"\({B + 5}, {2 * B + 1}\)"):
+        build_kernel_matrix(Bad(), None, X)
+
+
+def test_nngp_arcsin_check_sees_later_blocks(monkeypatch):
+    # with the tolerance at -1e-3, the check trips on an arcsin argument
+    # above 0.999, as on the diagonal of one far-out row in the last block
+    monkeypatch.setattr(nngp, "_ARCSIN_TOL", -1e-3)
+    kernel, pv = _nngp_depth2()
+    X = np.random.default_rng(4).uniform(-1.0, 1.0, (2 * B + 3, 3))
+    build_kernel_matrix(kernel, pv, X)
+    X[2 * B + 1] = 100.0
+    with pytest.raises(FloatingPointError, match="arcsin argument"):
+        build_kernel_matrix(kernel, pv, X)
+
+
+def test_quantum_nxn_fit_above_block_size_is_whole():
+    # m = 5, N = 300: 4^5 > N keeps the N x N path, with N > _GRAM_BLOCK.
+    # A child kernel's states ignore X, so it must never get a row block.
+    assert 300 > B
+    m, n = 5, 300
+    spec = build_variable_ansatz(m, (((0, 1), (2, 3)), QubitLayer("RZ")))
+    pv = spec.default_params().with_values(
+        np.random.default_rng(2).uniform(0.5, 3.0, m + 1))
+    rng = np.random.default_rng(12)
+    X = rng.uniform(-1.0, 1.0, (n, m))
+    y = rng.standard_normal(n)
+    child = _ChildKernel(spec, _child_states(_prefix_states(spec, pv, X),
+                                             spec, pv, X))
+    got = fit(child, pv, X, y, sigma_n=0.1)
+    want = fit(QuantumKernel(spec), pv, X, y, sigma_n=0.1)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert got.logL == want.logL
+    init = build_variable_ansatz(m, ()).default_params().values
+    cands = [Candidate(layers=(move,), params=init.copy())
+             for move in search_moves(m)[:3]]
+    beam = screen(cands, Dataset(X=X, y=y), 2,
+                  CircuitSearchConfig(sigma_n=0.1))
+    assert all(np.isfinite(c.log_o) for c in beam.candidates)
 
 
 def _quantum_kernels(m):

@@ -50,8 +50,8 @@ class ComputeError(RuntimeError):
 
 # smallest allowed value of each count in the config
 _LEAST = {"classical_budget": 1, "final_budget": 1, "nngp_budget": 1,
-          "nngp_max_depth": 1, "beam_width": 1, "refine_budget": 0,
-          "threads": 1}
+          "nngp_max_depth": 1, "max_depth": 1, "beam_width": 1,
+          "refine_budget": 0, "threads": 1}
 
 
 @dataclass
@@ -96,7 +96,8 @@ class ExperimentConfig:
             raise ConfigError("dataset must be a dict with a 'kind' key")
         for key, least in _LEAST.items():
             value = getattr(self, key)
-            if not isinstance(value, int) or value < least:
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}")
         if not (isinstance(self.sigma_n, (int, float))
                 and math.isfinite(self.sigma_n) and self.sigma_n >= 0):

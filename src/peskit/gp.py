@@ -12,6 +12,7 @@ weight vector up to round-off.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -128,7 +129,8 @@ class KernelFn:
 class TrainedGP:
     """Weight vector and log marginal likelihood of a fitted GP, both from
     one Cholesky factor: of the training-set kernel matrix, or of the
-    r x r weight-space matrix when ``fit`` works in weight space.
+    r x r weight-space matrix when ``fit`` works in weight space. The
+    factor overwrote that matrix and is not kept.
     ``alpha`` is (K + (sigma_n^2 + jitter) I)^-1 y either way.
 
     Immutable after fit; concurrent predict calls are safe.
@@ -185,6 +187,21 @@ def _strict_lower(n):
     return mask
 
 
+def _row_blocks(n):
+    """(i0, i1) of each ``_GRAM_BLOCK``-row block of an n-row matrix."""
+    for i0 in range(0, n, _GRAM_BLOCK):
+        yield i0, min(i0 + _GRAM_BLOCK, n)
+
+
+def _mirror(A, i0, i1):
+    """Copy rows i0:i1 of square A's upper triangle onto its lower one by
+    transposes: the diagonal square's strict upper part, then the rows'
+    part right of it into the columns below the square."""
+    D = A[i0:i1, i0:i1]
+    np.copyto(D, D.T, where=_strict_lower(i1 - i0))
+    A[i1:, i0:i1] = A[i0:i1, i1:].T
+
+
 def _input_rows(X):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] < 1:
@@ -216,54 +233,100 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
         K = X @ X.T
     else:
         K = np.empty((n, n))
-    for i0 in range(0, n, _GRAM_BLOCK):
-        i1 = min(i0 + _GRAM_BLOCK, n)
+    for i0, i1 in _row_blocks(n):
         if not whole:
             dot = {"dot": K[i0:i1, i0:]} if kernel.inner_products else {}
             K[i0:i1, i0:] = kernel.gram(X[i0:i1], X[i0:], params, **dot)
         # mirror the upper triangle so symmetry holds bitwise
-        D = K[i0:i1, i0:i1]
-        low = _strict_lower(i1 - i0)
-        D[low] = D.T[low]
+        _mirror(K, i0, i1)
         rows = K[i0:i1, i0:]
         if not np.all(np.isfinite(rows)):
             i, j = np.argwhere(~np.isfinite(rows))[0]
             raise KernelEvaluationError(f"kernel returned non-finite value "
                                         f"at pair ({i0 + i}, {i0 + j})")
-        K[i1:, i0:i1] = K[i0:i1, i1:].T
     return K
+
+
+def _numpy_potrf():
+    """numpy's own LAPACK ``dpotrf``, the routine ``np.linalg.cholesky``
+    calls, or None when numpy is not built on the ILP64 scipy-openblas.
+
+    The symbol is looked up through numpy's linalg extension, whose
+    dependencies include the OpenBLAS numpy bundles; its integer arguments
+    are 64-bit. ctypes releases the GIL during the call.
+    """
+    try:
+        from numpy.linalg import _umath_linalg
+        potrf = ctypes.CDLL(_umath_linalg.__file__).scipy_dpotrf_64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    int_p = ctypes.POINTER(ctypes.c_int64)
+    potrf.argtypes = (ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p)
+    potrf.restype = None
+    return potrf
+
+
+_potrf = _numpy_potrf()
+
+
+def _factor_in_place(A):
+    """``dpotrf('L')`` of the column-major view of a C-contiguous float64
+    square A, the matrix ``np.linalg.cholesky(A.T)`` hands LAPACK: reads
+    A's upper triangle and writes L^T there. Returns LAPACK's ``info``."""
+    n = ctypes.c_int64(A.shape[0])
+    info = ctypes.c_int64()
+    _potrf(b"L", ctypes.byref(n), A.ctypes.data, ctypes.byref(n),
+           ctypes.byref(info))
+    if info.value < 0:
+        raise ValueError(f"illegal value in argument {-info.value} of potrf")
+    return info.value
 
 
 def _cholesky_with_jitter(A, jitter):
     """Cholesky of A + j*I, escalating j by 10x up to JITTER_CAP on failure.
 
-    A must be exactly symmetric. It is factored through its transposed
-    view, the same matrix, which numpy copies into LAPACK's column-major
-    work array contiguously; the factor is C-contiguous either way.
+    A must be exactly symmetric. It is factored in its own memory by
+    numpy's own LAPACK ``dpotrf`` (see ``_numpy_potrf``), which reads and
+    overwrites its upper triangle; A is then mirrored, and its lower
+    triangle is the factor ``np.linalg.cholesky(A.T)`` gives, bit for bit.
+    The returned array is A, or a C-contiguous float64 copy of it when A
+    is not one. Each failed attempt restores the upper triangle from the
+    untouched strict lower one. Without that routine, A is factored by
+    ``np.linalg.cholesky(A.T)`` into a new array.
 
-    A is overwritten: each attempt sets its diagonal to d + j in place, d
-    being the diagonal on entry, so jitters never accumulate. At the cap
-    the diagonal is restored to d and the smallest eigenvalue of A is
-    reported.
+    Each attempt sets A's diagonal to d + j in place, d being the diagonal
+    on entry, so jitters never accumulate. At the cap the diagonal is
+    restored to d and the smallest eigenvalue of A is reported.
     """
+    if not (A.flags.carray and A.dtype == np.float64):
+        A = np.array(A, dtype=np.float64, order="C")
     n = A.shape[0]
     d = A.diagonal().copy()
     j = jitter
     while True:
         if j > 0:
             A.flat[::n + 1] = d + j
-        try:
-            return np.linalg.cholesky(A.T), j
-        except np.linalg.LinAlgError:
-            nxt = DEFAULT_JITTER if j == 0 else j * 10.0
-            if nxt > JITTER_CAP:
-                A.flat[::n + 1] = d
-                min_eig = float(np.linalg.eigvalsh(A)[0])
-                raise NotPositiveDefiniteError(
-                    f"factorization failed at jitter cap {JITTER_CAP:g}; "
-                    f"smallest eigenvalue {min_eig:.3e}",
-                    min_eigenvalue=min_eig)
-            j = nxt
+        if _potrf is None:
+            try:
+                return np.linalg.cholesky(A.T), j
+            except np.linalg.LinAlgError:
+                pass
+        elif _factor_in_place(A) == 0:
+            for i0, i1 in _row_blocks(n):
+                _mirror(A, i0, i1)
+            return A, j
+        else:  # restore the upper triangle from the untouched lower one
+            for i0, i1 in _row_blocks(n):
+                _mirror(A.T, i0, i1)
+        nxt = DEFAULT_JITTER if j == 0 else j * 10.0
+        if nxt > JITTER_CAP:
+            A.flat[::n + 1] = d
+            min_eig = float(np.linalg.eigvalsh(A)[0])
+            raise NotPositiveDefiniteError(
+                f"factorization failed at jitter cap {JITTER_CAP:g}; "
+                f"smallest eigenvalue {min_eig:.3e}",
+                min_eigenvalue=min_eig)
+        j = nxt
 
 
 def _trtrs(U, b, trans):
@@ -298,7 +361,8 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
 
     The log marginal likelihood -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi
     comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1). The
-    Gram is assembled once and its diagonal shifted in place.
+    Gram is assembled once, its diagonal shifted in place, and factored in
+    its own memory by numpy's LAPACK ``dpotrf`` (``_cholesky_with_jitter``).
 
     A kernel with ``n_features`` r < N is fitted in weight space when
     sigma_n > 0 (see ``_fit_weight_space``); its features are only built

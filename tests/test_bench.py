@@ -49,7 +49,8 @@ def test_config_rejects_unknown_and_missing_keys():
                      ("nngp_budget", 0), ("nngp_max_depth", 0),
                      ("beam_width", 0), ("refine_budget", -1),
                      ("nngp_budget", "5"), ("threads", 0),
-                     ("threads", "2"), ("threads", 1.5)):
+                     ("threads", "2"), ("threads", 1.5), ("max_depth", 0),
+                     ("beam_width", True), ("threads", True)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(_config(**{key: bad}))
     for bad in (-0.1, float("nan"), float("inf"), "0.1", None):

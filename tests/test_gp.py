@@ -12,7 +12,9 @@ from peskit.circuit_search import (Candidate, CircuitSearchConfig,
 from peskit.data import Dataset
 from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
                        KernelEvaluationError, KernelFn,
-                       NotPositiveDefiniteError, ParamVector, _solve_lower, _solve_lower_t, beta, bic,
+                       NotPositiveDefiniteError, ParamVector,
+                       _cholesky_with_jitter, _potrf, _solve_lower,
+                       _solve_lower_t, beta, bic,
                        build_kernel_matrix, fit, log_marginal_likelihood,
                        predict, rmse, surrogate_objective)
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
@@ -424,6 +426,112 @@ def test_quantum_nxn_fit_above_block_size_is_whole():
     assert all(np.isfinite(c.log_o) for c in beam.candidates)
 
 
+# ---------------------------------------------------------------------------
+# the in-place factor: numpy's own dpotrf in the Gram's memory
+
+def _spd(n):
+    G = np.random.default_rng(n).standard_normal((n, n))
+    A = G @ G.T / n + 0.1 * np.eye(n)
+    return np.triu(A) + np.triu(A, 1).T
+
+
+def _weight_space_matrix():
+    kernel, pv = _quantum_fixed()
+    X = np.random.default_rng(1).uniform(-1.0, 1.0, (300, 3))
+    Phi = kernel.features(X, pv)
+    C = Phi.T @ Phi
+    C.flat[::C.shape[0] + 1] += 0.05 ** 2
+    return C
+
+
+@pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 3, 1000, None])
+def test_in_place_factor_is_numpys_cholesky(n):
+    # None: the weight-space matrix C of a 3-qubit fit, r = 64
+    A = _weight_space_matrix() if n is None else _spd(n)
+    want = np.linalg.cholesky(A.T)
+    got, jitter = _cholesky_with_jitter(A.copy(), 0.0)
+    assert jitter == 0.0
+    assert np.array_equal(np.tril(got), want)
+
+
+class _Spectrum(KernelFn):
+    """Q diag(lam) Q^T for a random orthogonal Q, with one eigenvalue
+    ``least`` and the rest in [0.5, 1.5]; a row's first coordinate is its
+    index. Its leading minors are positive definite, so a factorization
+    that fails, fails in one of the last columns, having overwritten the
+    upper triangle in every row block."""
+
+    def __init__(self, n, least):
+        rng = np.random.default_rng(n)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.uniform(0.5, 1.5, n)
+        lam[0] = least
+        self.G = (Q * lam) @ Q.T
+
+    def gram(self, X, X2, params):
+        return self.G[np.ix_(X[:, 0].astype(int), X2[:, 0].astype(int))]
+
+
+@pytest.mark.parametrize("potrf", [_potrf, None], ids=["potrf", "fallback"])
+def test_failed_factor_restores_the_matrix_across_blocks(monkeypatch, potrf):
+    monkeypatch.setattr("peskit.gp._potrf", potrf)
+    n = 300
+    assert n > 2 * B
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.random.default_rng(0).standard_normal(n)
+    # smallest eigenvalue -2e-6: five attempts fail, jitter 1e-5 passes
+    kernel = _Spectrum(n, -2e-6)
+    model = fit(kernel, None, X, y, sigma_n=0.0)
+    _, _, alpha, logL, jitter = _oracle_fit(kernel, None, X, y, sigma_n=0.0)
+    assert model.jitter == jitter == pytest.approx(1e-5)
+    assert np.array_equal(model.alpha, alpha)
+    assert model.logL == logL
+    # -1e-2: every attempt fails; the eigenvalue is the restored matrix's
+    kernel = _Spectrum(n, -1e-2)
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        fit(kernel, None, X, y, sigma_n=0.05)
+    *_, min_eig = _oracle_fit(kernel, None, X, y, sigma_n=0.05)
+    assert err.value.min_eigenvalue == min_eig
+
+
+@pytest.mark.parametrize("layout", [
+    np.asfortranarray, lambda G: G.T.copy().T,
+    lambda G: np.repeat(G, 2, axis=1)[:, ::2]],
+    ids=["fortran", "transposed", "strided"])
+def test_gram_in_any_layout_is_factored(layout):
+    class Laid(KernelFn):
+        def gram(self, X, X2, params):
+            return layout(rbf.gram(X, X2, pv))
+
+    rbf, pv = _rbf(2.0)
+    rng = np.random.default_rng(13)
+    X = rng.uniform(-1.0, 1.0, (B - 1, 3))
+    y = rng.standard_normal(B - 1)
+    assert not Laid().gram(X, X, None).flags.c_contiguous
+    want = fit(rbf, pv, X, y, sigma_n=0.05)
+    got = fit(Laid(), None, X, y, sigma_n=0.05)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert got.logL == want.logL
+
+
+@pytest.mark.parametrize("family,sigma_n", [("rbf", 0.05), ("nngp2", 0.05),
+                                            ("quantum-fixed", 0.05),
+                                            ("quantum-fixed", 0.0)])
+def test_fallback_without_numpys_potrf_fits_the_same(monkeypatch, family,
+                                                     sigma_n):
+    n = 300
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-1.0, 1.0, (n, 3))
+    y = rng.standard_normal(n)
+    kernel, pv = _FAMILIES[family]()
+    assert _potrf is not None, "numpy has no scipy_dpotrf_64_"
+    want = fit(kernel, pv, X, y, sigma_n=sigma_n)
+    monkeypatch.setattr("peskit.gp._potrf", None)
+    got = fit(kernel, pv, X, y, sigma_n=sigma_n)
+    assert np.array_equal(got.alpha, want.alpha)
+    assert got.logL == want.logL
+
+
 def _quantum_kernels(m):
     """The fixed ansatz and a variable one with R_ZZ and R_Z layers."""
     pairs = tuple((i, i + 1) for i in range(0, m - 1, 2))
@@ -546,10 +654,12 @@ def test_nxn_path_never_builds_features(monkeypatch):
     assert calls == []
 
 
-# N x N float64 arrays alive at the peak of an N x N fit: the Gram and the
-# Cholesky factor, or the complex overlap matrix (two) and the Gram built
-# from it. The quantum case fits at sigma_n = 0, which keeps the N x N path.
-@pytest.mark.parametrize("family,grams", [("rbf", 2), ("nngp2", 2),
+# N x N float64 arrays alive at the peak of an N x N fit: the Gram, which
+# the Cholesky factor overwrites, plus a row block's temporaries (1.51 for
+# rbf, 1.58 for nngp2 measured); or the complex overlap matrix (two) and
+# the Gram built from it. The quantum case fits at sigma_n = 0, which keeps
+# the N x N path.
+@pytest.mark.parametrize("family,grams", [("rbf", 1.5), ("nngp2", 1.5),
                                           ("quantum-fixed", 3)])
 def test_fit_peak_memory_in_grams(family, grams):
     n = 500

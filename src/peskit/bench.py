@@ -48,10 +48,19 @@ class ComputeError(RuntimeError):
     """A compute step failed fatally."""
 
 
-# smallest allowed value of each count in the config
+# smallest allowed value of each count in the config; a training set
+# needs two points
 _LEAST = {"classical_budget": 1, "final_budget": 1, "nngp_budget": 1,
           "nngp_max_depth": 1, "max_depth": 1, "beam_width": 1,
-          "refine_budget": 0, "threads": 1}
+          "refine_budget": 0, "threads": 1, "n_train_extrap": 2}
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass
@@ -86,6 +95,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """Check every value; ``dataclasses.replace`` checks again."""
+        for key in ("families", "seeds", "n_train", "thresholds"):
+            if not isinstance(getattr(self, key), (list, tuple)):
+                raise ConfigError(f"{key} must be a list")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown kernel family {fam!r}; "
@@ -96,11 +108,17 @@ class ExperimentConfig:
             raise ConfigError("dataset must be a dict with a 'kind' key")
         for key, least in _LEAST.items():
             value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int) \
-                    or value < least:
+            if not _is_int(value) or value < least:
                 raise ConfigError(f"{key} must be an integer >= {least}")
-        if not (isinstance(self.sigma_n, (int, float))
-                and math.isfinite(self.sigma_n) and self.sigma_n >= 0):
+        if not all(_is_int(n) and n >= 2 for n in self.n_train):
+            raise ConfigError("each entry of n_train must be an integer >= 2")
+        if not all(_is_number(t) and 0 < t < 1 for t in self.thresholds):
+            raise ConfigError("each entry of thresholds must be a number "
+                              "in (0, 1)")
+        if not all(_is_int(s) for s in self.seeds):
+            raise ConfigError("each entry of seeds must be an integer")
+        if not (_is_number(self.sigma_n) and math.isfinite(self.sigma_n)
+                and self.sigma_n >= 0):
             raise ConfigError("sigma_n must be a finite number >= 0")
 
     @classmethod
@@ -157,13 +175,22 @@ class ResultTable:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a table ``to_csv`` wrote; a row with a missing column or a
+        value of the wrong type raises ``DataError`` naming its line."""
         table = cls()
         types = get_type_hints(ResultRow)  # the declared types, not strings
         with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                table.rows.append(ResultRow(**{
-                    f.name: types[f.name](row[f.name])
-                    for f in fields(ResultRow)}))
+            reader = csv.DictReader(fh)
+            for row in reader:
+                values = {}
+                for f in fields(ResultRow):
+                    try:  # a short row holds None, a missing column no key
+                        values[f.name] = types[f.name](row[f.name])
+                    except (KeyError, TypeError, ValueError):
+                        raise DataError(
+                            f"{path}: line {reader.line_num}: bad or missing "
+                            f"{f.name} {row.get(f.name)!r}") from None
+                table.rows.append(ResultRow(**values))
         return table
 
 
@@ -230,7 +257,7 @@ def _run_cell(family, data, split, size, seed, cfg):
     train = data.subset(split.train)
     # the one place targets are standardized; RMSE stays in cm^-1
     ys, mean, scale = standardize(train.y)
-    train_std = Dataset(X=train.X, y=ys, source=train.source)
+    train_std = Dataset(X=train.X, y=ys)
     kernel, params, trace, winner = _FITTERS[family](train_std, cfg, seed)
     gp = fit(kernel, params, train_std.X, train_std.y, sigma_n=cfg.sigma_n)
     score = kernel.objective(gp.logL)

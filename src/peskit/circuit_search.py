@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
-                 TraceRow, beta, fit, log_marginal_likelihood, predict, rmse)
+                 TraceRow, beta, log_marginal_likelihood)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import (Circuit, QuantumKernel, QubitLayer, apply_layers,
                       build_variable_ansatz, statevectors)
@@ -109,7 +109,6 @@ class CircuitSearchConfig:
     max_depth: int = 8
     seed: int = 0
     sigma_n: float = 0.0
-    holdout: object = None  # optional (X_test, y_test) for the trace
 
 
 def extend(beam: BeamState, moves):
@@ -214,29 +213,12 @@ def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
     return beam
 
 
-def _holdout_rmse(best: Candidate, data, cfg):
-    """RMSE on ``cfg.holdout``, whose targets share ``data.y``'s scale."""
-    if cfg.holdout is None:
-        return float("nan")
-    Xt, yt = cfg.holdout
-    spec = build_variable_ansatz(data.X.shape[1], best.layers)
-    try:
-        gp = fit(QuantumKernel(spec),
-                 spec.default_params().with_values(best.params),
-                 data.X, data.y, sigma_n=cfg.sigma_n)
-    except _GP_FAILURES as exc:
-        log.warning("holdout RMSE failed: %s", exc)
-        return float("nan")
-    return rmse(predict(gp, Xt), yt)
-
-
 def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     """Beam search over gate-layer sequences; returns (spec, params,
     SearchTrace).
 
     The search fits ``data.y`` as given; a caller passes z-scored
-    targets, as ``bench._run_cell`` does, and ``config.holdout`` targets on
-    the same scale. The depth-0 circuit (no appended layers) is always
+    targets, as ``bench._run_cell`` does. The depth-0 circuit (no appended layers) is always
     scored as the baseline and retained outside the beam width. Each trace
     row holds the best circuit's layer string, logO as score and beta as
     criterion.
@@ -254,7 +236,6 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
     def row(iteration, n_candidates, best, t0):
         return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
                         best.log_o, best.beta_score, m + 1,
-                        _holdout_rmse(best, data, cfg),
                         time.perf_counter() - t0)
 
     trace = SearchTrace()

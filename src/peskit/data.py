@@ -44,7 +44,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    source: str = "synthetic"
 
     def __post_init__(self):
         object.__setattr__(self, "X", np.atleast_2d(np.asarray(self.X, float)))
@@ -70,7 +69,7 @@ class Dataset:
 
     def subset(self, indices):
         idx = np.asarray(indices, dtype=int)
-        return Dataset(X=self.X[idx], y=self.y[idx], source=self.source)
+        return Dataset(X=self.X[idx], y=self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,7 @@ def load_csv(path, a=None) -> Dataset:
     R, y = arr[:, :-1], arr[:, -1]
     if a is None:
         a = default_transform_scale(str(path))
-    return Dataset(X=transform(R, a), y=y, source=str(path))
+    return Dataset(X=transform(R, a), y=y)
 
 
 def write_rows(rows, cls, path):
@@ -228,8 +227,7 @@ class MorsePes:
     def dataset(self, n_points, seed, a=1.0) -> Dataset:
         rng = np.random.default_rng(seed)
         R = self._sample_distances(n_points, rng)
-        return Dataset(X=transform(R, a), y=self.energy(R),
-                       source=f"synthetic:{self.kind}:d{self.dims}:s{self.seed}")
+        return Dataset(X=transform(R, a), y=self.energy(R))
 
 
 def synth_pes(dims, n_points, seed, kind="morse-sum",

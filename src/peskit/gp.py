@@ -1,7 +1,7 @@
 """Exact Gaussian process regression and model-selection scalars.
 
 Implements kernel-matrix assembly, Cholesky-based fitting and prediction,
-the log marginal likelihood, the stabilized surrogate objective log(L + d),
+the log marginal likelihood, the stabilized surrogate objective log(L + 1),
 and the BIC / beta selection scores used by the kernel searches.
 
 A fit factors the N x N kernel matrix, or, for a kernel with r < N
@@ -59,13 +59,12 @@ class NotPositiveDefiniteError(RuntimeError):
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Named, bounded hyperparameter vector.
+    """Bounded hyperparameter vector.
 
     Each entry carries a bound pair and a scale tag ("linear" or "log")
     used by the optimizer to build its search space.
     """
 
-    names: tuple
     values: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
@@ -75,9 +74,8 @@ class ParamVector:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        n = len(self.names)
-        if not (self.values.size == self.lower.size == self.upper.size == n
-                and len(self.scales) == n):
+        n = self.values.size
+        if not (self.lower.size == self.upper.size == len(self.scales) == n):
             raise ValueError("inconsistent ParamVector field lengths")
 
     @property
@@ -140,7 +138,6 @@ class TrainedGP:
     alpha: np.ndarray
     kernel: KernelFn
     params: ParamVector
-    sigma_n: float
     jitter: float
     logL: float
 
@@ -151,7 +148,6 @@ class TraceRow:
 
     ``score`` and ``criterion`` mean what they mean in a result row;
     ``criterion`` is what the search ranks by (BIC, logL or beta).
-    ``rmse_holdout`` is NaN unless the circuit search is given a holdout.
     """
 
     iteration: int
@@ -160,7 +156,6 @@ class TraceRow:
     score: float
     criterion: float
     M: int
-    rmse_holdout: float
     wall_time: float
 
 
@@ -390,7 +385,7 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
         logL = float(-0.5 * y @ alpha - 0.5 * logdet
                      - 0.5 * y.size * math.log(2.0 * math.pi))
     return TrainedGP(X=X, alpha=alpha, kernel=kernel, params=params,
-                     sigma_n=sigma_n, jitter=used_jitter, logL=logL)
+                     jitter=used_jitter, logL=logL)
 
 
 def _fit_weight_space(kernel, params, X, y, sigma_n, jitter):
@@ -440,20 +435,17 @@ def predict(gp: TrainedGP, Xstar) -> np.ndarray:
 
 
 def log_marginal_likelihood(kernel: KernelFn, params: ParamVector, X, y,
-                            sigma_n: float = 0.0,
-                            jitter: float = DEFAULT_JITTER) -> float:
+                            sigma_n: float = 0.0) -> float:
     """Type-II objective: the logL of ``fit`` on the same inputs."""
-    return fit(kernel, params, X, y, sigma_n=sigma_n, jitter=jitter).logL
+    return fit(kernel, params, X, y, sigma_n=sigma_n).logL
 
 
-def surrogate_objective(logL: float, d: float = 1.0) -> float:
-    """Stabilized training objective log(L + d) with L = exp(logL).
+def surrogate_objective(logL: float) -> float:
+    """Stabilized training objective log(L + 1) with L = exp(logL).
 
-    Bounded below by log(d); never exponentiates large positives unsafely.
+    Bounded below by 0; never exponentiates large positives unsafely.
     """
-    if d <= 0:
-        raise ValueError("d must be positive")
-    return float(np.logaddexp(logL, math.log(d)))
+    return float(np.logaddexp(logL, 0.0))
 
 
 def bic(logL: float, M: int, N: int) -> float:

@@ -9,7 +9,6 @@ every candidate pool, so the best-BIC trace never decreases.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
@@ -106,14 +105,13 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
     pool = [new_leaf(b, coef=1.0) for b in cfg.bases]
     best, n_cand, dt = score_pool(pool, None)
     trace.append(TraceRow(0, n_cand, serialize(best.expr), best.logL,
-                          best.bic, best.M, math.nan, dt))
+                          best.bic, best.M, dt))
 
     for iteration in range(1, cfg.max_depth):
         pool = expand(best.expr, cfg.bases)
         new_best, n_cand, dt = score_pool(pool, best)
         trace.append(TraceRow(iteration, n_cand, serialize(new_best.expr),
-                              new_best.logL, new_best.bic, new_best.M,
-                              math.nan, dt))
+                              new_best.logL, new_best.bic, new_best.M, dt))
         improvement = new_best.bic - best.bic
         converged = improvement < max(EPS_REL * abs(best.bic), EPS_ABS)
         best = new_best

@@ -180,18 +180,16 @@ def _gram_rec(expr, pw):
 
 def param_vector(expr, p_scale=1.0) -> ParamVector:
     """Flatten all coefficients and shape parameters in deterministic pre-order."""
-    names, values, lower, upper, scales = [], [], [], [], []
+    values, lower, upper, scales = [], [], [], []
 
-    def visit(node, path):
+    def visit(node):
         if node.coef is not None:
-            names.append(f"{path}.c")
             values.append(node.coef)
             lower.append(COEF_BOUNDS[0])
             upper.append(COEF_BOUNDS[1])
             scales.append("log")
         if isinstance(node, Leaf):
             for nm, v in zip(_KIND_PARAMS[node.kind], node.params):
-                names.append(f"{path}.{nm}")
                 values.append(v)
                 if node.kind == "PER" and nm == "p":
                     lower.append(PERIOD_BOUNDS[0] * p_scale)
@@ -201,11 +199,11 @@ def param_vector(expr, p_scale=1.0) -> ParamVector:
                     upper.append(SHAPE_BOUNDS[1])
                 scales.append("log")
         else:
-            visit(node.left, path + "l")
-            visit(node.right, path + "r")
+            visit(node.left)
+            visit(node.right)
 
-    visit(expr, "n")
-    return ParamVector(names=tuple(names), values=np.array(values),
+    visit(expr)
+    return ParamVector(values=np.array(values),
                        lower=np.array(lower), upper=np.array(upper),
                        scales=tuple(scales))
 

@@ -43,13 +43,12 @@ class NNGPKernel(KernelFn):
 
     def default_params(self) -> ParamVector:
         n = self.depth + 1
-        names = tuple(f"{p}_{l}" for l in range(n) for p in ("sw", "sb"))
         values = np.tile([1.0, 0.1], n)
         lower = np.tile([SIGMA_W_BOUNDS[0], SIGMA_B_BOUNDS[0]], n)
         upper = np.tile([SIGMA_W_BOUNDS[1], SIGMA_B_BOUNDS[1]], n)
         scales = ("log", "linear") * n
-        return ParamVector(names=names, values=values, lower=lower,
-                           upper=upper, scales=scales)
+        return ParamVector(values=values, lower=lower, upper=upper,
+                           scales=scales)
 
     def gram(self, X, X2, params: ParamVector, dot=None) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -125,8 +124,7 @@ def search_depth(data, config: NNGPSearchConfig | None = None):
                             stable_seed(cfg.seed, "nngp", L), cfg.sigma_n)
         fitted = pv.with_values(res.best_point)
         trace.append(TraceRow(L - 1, 1, str(L), res.best_value, res.best_value,
-                              fitted.size, math.nan,
-                              time.perf_counter() - t0))
+                              fitted.size, time.perf_counter() - t0))
         if best is None or res.best_value > best[0]:
             best = (res.best_value, kernel, fitted)
         warm = res.best_point

@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 SENTINEL = -1e15
 _LENGTHSCALES = np.geomspace(0.05, 3.0, 8)  # surrogate grid
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_XI = 1e-3  # expected-improvement exploration margin
 
 
 def stable_seed(*parts) -> int:
@@ -103,7 +104,6 @@ class OptResult:
     best_value: float
     points: list = field(default_factory=list)
     values: list = field(default_factory=list)
-    seed: int = 0
 
 
 def _matern52(d):
@@ -165,7 +165,7 @@ def _surrogate_fit(Z, y):
     return best[1], best[2]
 
 
-def _expected_improvement(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
+def _expected_improvement(Zcand, Z, L, alpha, ell, f_best):
     d = np.sqrt(np.maximum(
         np.sum(Zcand ** 2, axis=1)[:, None] + np.sum(Z ** 2, axis=1)[None, :]
         - 2.0 * Zcand @ Z.T, 0.0))
@@ -174,10 +174,10 @@ def _expected_improvement(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):
     v = _solve_lower(L, Ks.T)
     var = np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12)
     sd = np.sqrt(var)
-    gamma = (mu - f_best - xi) / sd
+    gamma = (mu - f_best - _XI) / sd
     # standard normal cdf and pdf, as scipy.stats.norm computes them
     pdf = np.exp(-gamma ** 2 / 2.0) / _SQRT_2PI
-    return (mu - f_best - xi) * ndtr(gamma) + sd * pdf
+    return (mu - f_best - _XI) * ndtr(gamma) + sd * pdf
 
 
 def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
@@ -250,7 +250,7 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
     values = [float(v) for v in values]
     i = int(np.argmax(values))
     return OptResult(best_point=points[i], best_value=values[i],
-                     points=points, values=values, seed=seed)
+                     points=points, values=values)
 
 
 def maximize_logl(kernel, pv, X, y, budget, seed, sigma_n) -> OptResult:

@@ -160,11 +160,9 @@ class QuantumKernelSpec:
 
     def default_params(self) -> ParamVector:
         m = self.m
-        names = tuple(f"theta_{i + 1}" for i in range(m)) + ("Theta",)
         lo, hi = THETA_BOUNDS
         center = math.sqrt(lo * hi)
-        return ParamVector(names=names,
-                           values=np.full(m + 1, center),
+        return ParamVector(values=np.full(m + 1, center),
                            lower=np.full(m + 1, lo),
                            upper=np.full(m + 1, hi),
                            scales=("log",) * (m + 1))

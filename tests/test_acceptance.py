@@ -160,8 +160,7 @@ def test_cholesky_loglik_matches_dense_oracle():
     X = rng.uniform(0.1, 0.9, (15, 3))
     y = 2.0 + np.sin(3.0 * X[:, 0]) + X[:, 1]
     for name, kernel, pv in _families():
-        got = log_marginal_likelihood(kernel, pv, X, y, sigma_n=0.1,
-                                      jitter=1e-10)
+        got = log_marginal_likelihood(kernel, pv, X, y, sigma_n=0.1)
         K = kernel.gram(X, X, pv) + (0.01 + 1e-10) * np.eye(15)
         sign, logdet = np.linalg.slogdet(K)
         assert sign > 0
@@ -199,7 +198,7 @@ def test_beam_search_equals_exhaustive_oracle():
         spec = build_variable_ansatz(3, layers)
         L = log_marginal_likelihood(QuantumKernel(spec),
                                     spec.default_params().with_values(v),
-                                    X, ys, sigma_n=SN, jitter=1e-10)
+                                    X, ys, sigma_n=SN)
         return surrogate_objective(L)
 
     def optimize(layers, warm, budget, tag):
@@ -342,8 +341,7 @@ def circuit_benchmark_medians():
         def log_o(spec, v):
             L = log_marginal_likelihood(QuantumKernel(spec),
                                         spec.default_params().with_values(v),
-                                        train.X, ys, sigma_n=SIGMA_N,
-                                        jitter=1e-10)
+                                        train.X, ys, sigma_n=SIGMA_N)
             return surrogate_objective(L)
 
         def holdout(spec, values):

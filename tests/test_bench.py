@@ -53,7 +53,7 @@ def test_config_rejects_unknown_and_missing_keys():
                      ("beam_width", True), ("threads", True)):
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig.from_dict(_config(**{key: bad}))
-    for bad in (-0.1, float("nan"), float("inf"), "0.1", None):
+    for bad in (-0.1, float("nan"), float("inf"), "0.1", None, True):
         with pytest.raises(ConfigError, match="sigma_n"):
             ExperimentConfig.from_dict(_config(sigma_n=bad))
 
@@ -240,6 +240,46 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["fit", "--config", str(path)]) == cli.EXIT_CONFIG
     assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) \
         == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("bench-extrap", "n_train_extrap", 0),
+    ("bench-extrap", "n_train_extrap", True),
+    ("bench-interp", "n_train", [40, 1]),
+    ("bench-interp", "n_train", [True]),
+    ("bench-extrap", "thresholds", [1.5]),
+    ("bench-extrap", "thresholds", [0]),
+    ("bench-interp", "seeds", ["a"]),
+    ("bench-interp", "seeds", [0, True]),
+])
+def test_cli_rejects_bad_sizes_thresholds_and_seeds(tmp_path, capsys,
+                                                     command, key, bad):
+    out_dir = tmp_path / "out"
+    path = _write_config(tmp_path, out_dir=str(out_dir), **{key: bad})
+    assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_cli_report_on_malformed_table_is_data_error(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    ResultTable(rows=[ResultRow("rbf", 40, 0, 5.0, 0, 0, 1, 10, 0.1),
+                      ResultRow("rbf", 40, 1, 3.0, 0, 0, 1, 10, 0.1)]
+                ).to_csv(path)
+    good = path.read_text().splitlines()
+    header = good[0].split(",")
+    bad_value = [good[0], good[1], good[2].replace(",1,", ",a,", 1)]
+    missing_column = [",".join(h for h in header if h != "rmse"),
+                      *(",".join(v for h, v in zip(header, line.split(","))
+                                 if h != "rmse") for line in good[1:])]
+    for lines, where in ((bad_value, "line 3"), (missing_column, "line 2"),
+                         (good[:2] + ["rbf,40"], "line 3")):
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match=where):
+            ResultTable.from_csv(path)
+        assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(path) in err and where in err
 
 
 def test_cli_threads_override_is_checked(tmp_path, capsys):

@@ -6,15 +6,14 @@ import pytest
 
 from peskit import circuit_search
 from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
-                                   _child_states, _holdout_rmse,
-                                   _prefix_states, canonical_layers, extend,
-                                   layer_pool, refine, screen, search_circuit,
+                                   _child_states, _prefix_states,
+                                   canonical_layers, extend, layer_pool,
+                                   refine, screen, search_circuit,
                                    search_moves)
 from peskit.data import standardize, synth_pes
-from peskit.gp import NotPositiveDefiniteError, fit, predict, rmse
+from peskit.gp import NotPositiveDefiniteError
 from peskit.optimizer import SENTINEL
-from peskit.quantum import (QuantumKernel, QubitLayer, build_variable_ansatz,
-                            statevectors)
+from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
 from screen_oracle import involution_count, screen_scores
 
 
@@ -206,28 +205,6 @@ def test_screen_propagates_untyped_failures(monkeypatch):
         screen([_cand((((0, 1),),)), _cand(bad)], data, 3, cfg)
 
 
-def test_holdout_rmse_is_nan_when_fit_is_not_positive_definite(
-        monkeypatch, caplog):
-    data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0,
-                              holdout=(data.X[:5], data.y[:5]))
-    best = _cand((((0, 1),),))
-    # the RMSE is in the units of the holdout targets, as given
-    spec = build_variable_ansatz(3, best.layers)
-    pv = spec.default_params().with_values(best.params)
-    gp = fit(QuantumKernel(spec), pv, data.X, data.y, sigma_n=0.1)
-    assert _holdout_rmse(best, data, cfg) == rmse(predict(gp, data.X[:5]),
-                                                  data.y[:5])
-
-    def failing_fit(*args, **kwargs):
-        raise NotPositiveDefiniteError("factorization failed")
-
-    monkeypatch.setattr(circuit_search, "fit", failing_fit)
-    caplog.set_level(logging.WARNING, logger="peskit.circuit_search")
-    assert np.isnan(_holdout_rmse(best, data, cfg))
-    assert len(caplog.records) == 1
-
-
 def test_refine_improves_or_keeps_screened_score():
     data = _search_data()
     cfg = CircuitSearchConfig(refine_budget=10, sigma_n=0.1, seed=0)
@@ -259,9 +236,9 @@ def test_refined_candidates_are_frozen():
     assert again.log_o == log_o
 
 
-def _quick_cfg(seed=0, holdout=None):
+def _quick_cfg(seed=0):
     return CircuitSearchConfig(refine_budget=8, final_budget=10, max_depth=3,
-                               seed=seed, sigma_n=0.1, holdout=holdout)
+                               seed=seed, sigma_n=0.1)
 
 
 def test_search_is_deterministic():
@@ -294,20 +271,6 @@ def test_search_winner_respects_layer_constraint():
 def test_search_validates_beam_width():
     with pytest.raises(ValueError):
         search_circuit(_search_data(), 0, _quick_cfg())
-
-
-def test_holdout_rmse_in_trace():
-    data = synth_pes(3, 80, seed=3)
-    train = data.subset(range(60))
-    test = data.subset(range(60, 80))
-    ys, mean, scale = standardize(train.y)
-    holdout = (test.X, (test.y - mean) / scale)
-    _, _, trace = search_circuit(replace(train, y=ys), 2,
-                                 _quick_cfg(seed=3, holdout=holdout))
-    assert all(np.isfinite(r.rmse_holdout) for r in trace)
-    # holdout errors are on the holdout targets' scale; scaled back they
-    # are in the raw energy units
-    assert all(scale * r.rmse_holdout > 1.0 for r in trace)
 
 
 def test_search_screens_distinct_candidates(monkeypatch):

@@ -31,22 +31,27 @@ def _rbf(theta=1.0):
 
 
 def test_param_vector_with_values_replaces():
-    pv = ParamVector(names=("a", "b"), values=[1.0, 2.0], lower=[0.1, 0.1],
+    pv = ParamVector(values=[1.0, 2.0], lower=[0.1, 0.1],
                      upper=[10.0, 10.0], scales=("log", "linear"))
     pv2 = pv.with_values([3.0, 4.0])
     assert pv2.values.tolist() == [3.0, 4.0]
     assert pv.values.tolist() == [1.0, 2.0]
-    assert pv2.names == pv.names
+    assert pv2.scales == pv.scales
+    assert np.array_equal(pv2.lower, pv.lower)
+    assert np.array_equal(pv2.upper, pv.upper)
 
 
 def test_param_vector_rejects_wrong_length():
-    pv = ParamVector(names=("a",), values=[1.0], lower=[0.1], upper=[10.0],
+    pv = ParamVector(values=[1.0], lower=[0.1], upper=[10.0],
                      scales=("log",))
     with pytest.raises(ValueError):
         pv.with_values([1.0, 2.0])
     with pytest.raises(ValueError):
-        ParamVector(names=("a", "b"), values=[1.0], lower=[0.1], upper=[1.0],
-                    scales=("log",))
+        ParamVector(values=[1.0], lower=[0.1], upper=[1.0],
+                    scales=("log", "log"))
+    with pytest.raises(ValueError):
+        ParamVector(values=[1.0, 2.0], lower=[0.1], upper=[1.0, 2.0],
+                    scales=("log", "log"))
 
 
 def test_kernel_matrix_symmetry_is_bitwise():
@@ -107,9 +112,9 @@ def test_logL_matches_dense_oracle():
         y = rng.standard_normal(n)
         kernel, pv = _rbf(1.3)
         sigma_n = 0.1
-        got = log_marginal_likelihood(kernel, pv, X, y, sigma_n=sigma_n,
-                                      jitter=0.0)
-        A = build_kernel_matrix(kernel, pv, X) + sigma_n ** 2 * np.eye(n)
+        got = log_marginal_likelihood(kernel, pv, X, y, sigma_n=sigma_n)
+        A = build_kernel_matrix(kernel, pv, X) \
+            + (sigma_n ** 2 + DEFAULT_JITTER) * np.eye(n)
         _, logdet = np.linalg.slogdet(A)
         want = -0.5 * y @ np.linalg.solve(A, y) - 0.5 * logdet \
             - 0.5 * n * math.log(2 * math.pi)
@@ -161,14 +166,12 @@ def test_fit_validates_inputs():
 
 
 def test_surrogate_objective_limits():
-    # large positive logL passes through; very negative floors at log d
+    # large positive logL passes through; very negative floors at log 1 = 0
     assert abs(surrogate_objective(500.0) - 500.0) < 1e-12
-    assert surrogate_objective(-1e6, d=1.0) == 0.0
-    assert abs(surrogate_objective(-1e6, d=2.0) - math.log(2.0)) < 1e-12
+    assert surrogate_objective(-1e6) == 0.0
+    assert abs(surrogate_objective(0.0) - math.log(2.0)) < 1e-15  # log(1 + 1)
     # moderate values keep sub-float resolution through logaddexp
     assert surrogate_objective(-500.0) > surrogate_objective(-600.0) > 0.0
-    with pytest.raises(ValueError):
-        surrogate_objective(0.0, d=0.0)
 
 
 def test_bic_and_beta_penalties():

@@ -1,4 +1,5 @@
-from dataclasses import replace
+import math
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -90,8 +91,12 @@ def test_trace_csv(tmp_path, search):
     write_rows(trace, TraceRow, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == ("iteration,n_candidates,winner,score,criterion,M,"
-                        "rmse_holdout,wall_time")
+                        "wall_time")
     assert len(lines) == len(trace) + 1
+    # no column is a placeholder: every number a search records is finite
+    for row in trace:
+        numbers = [v for v in astuple(row) if not isinstance(v, str)]
+        assert all(math.isfinite(v) for v in numbers), row
 
 
 def test_default_bases_cover_the_five_families():

@@ -6,9 +6,10 @@ import pytest
 
 from kernel_oracle import (eval_dot, eval_expr, eval_matern, eval_periodic,
                            eval_rbf, eval_rq)
-from peskit.kernels import (BASE_KINDS, ClassicalKernel, Leaf, Prod, Sum,
-                            ensure_coef, gram_expr, new_leaf, param_vector,
-                            serialize, with_params)
+from peskit.kernels import (BASE_KINDS, COEF_BOUNDS, SHAPE_BOUNDS,
+                            ClassicalKernel, Leaf, Prod, Sum, ensure_coef,
+                            gram_expr, new_leaf, param_vector, serialize,
+                            with_params)
 
 rng = np.random.default_rng(7)
 
@@ -123,8 +124,10 @@ def test_param_vector_preorder_flattening():
                right=Leaf("RQ", (1.5, 0.5), coef=0.7),
                coef=None)
     pv = param_vector(expr)
-    assert pv.names == ("nl.c", "nl.th", "nr.c", "nr.al", "nr.l")
+    # left coefficient, RBF th, right coefficient, RQ al and l
     assert pv.values.tolist() == [2.0, 1.3, 0.7, 1.5, 0.5]
+    coef, shape = COEF_BOUNDS[0], SHAPE_BOUNDS[0]
+    assert pv.lower.tolist() == [coef, shape, coef, shape, shape]
     assert all(s == "log" for s in pv.scales)
 
 
@@ -146,9 +149,10 @@ def test_with_params_round_trip():
 
 def test_periodic_bounds_scale_with_data():
     pv = param_vector(new_leaf("PER", coef=None), p_scale=4.0)
-    i = pv.names.index("n.p")
-    assert pv.lower[i] == pytest.approx(0.4)
-    assert pv.upper[i] == pytest.approx(40.0)
+    # the period p comes before the lengthscale l
+    assert pv.lower[0] == pytest.approx(0.4)
+    assert pv.upper[0] == pytest.approx(40.0)
+    assert (pv.lower[1], pv.upper[1]) == SHAPE_BOUNDS
 
 
 def test_classical_kernel_adapter():

@@ -6,7 +6,8 @@ from scipy.special import erf
 
 from peskit.data import standardize, synth_pes
 from peskit.gp import SearchTrace, TraceRow
-from peskit.nngp import NNGPKernel, NNGPSearchConfig, search_depth
+from peskit.nngp import (SIGMA_B_BOUNDS, SIGMA_W_BOUNDS, NNGPKernel,
+                         NNGPSearchConfig, search_depth)
 
 rng = np.random.default_rng(5)
 
@@ -22,8 +23,9 @@ def test_depth_validation_and_param_layout():
         NNGPKernel(depth=0)
     pv = NNGPKernel(depth=2).default_params()
     assert pv.size == 6
-    assert pv.names == ("sw_0", "sb_0", "sw_1", "sb_1", "sw_2", "sb_2")
-    assert pv.scales[0] == "log" and pv.scales[1] == "linear"
+    # (sigma_w, sigma_b) per layer, in layer order
+    assert pv.scales == ("log", "linear") * 3
+    assert pv.lower.tolist() == [SIGMA_W_BOUNDS[0], SIGMA_B_BOUNDS[0]] * 3
 
 
 def test_search_depth_rejects_empty_search():

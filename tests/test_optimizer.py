@@ -141,7 +141,6 @@ def test_opt_result_carries_log():
     res = maximize(lambda x: float(x[0]), _space(1), budget=6, seed=9)
     assert isinstance(res, OptResult)
     assert len(res.points) == len(res.values) == 6
-    assert res.seed == 9
     i = int(np.argmax(res.values))
     assert res.best_value == res.values[i]
 
@@ -343,7 +342,7 @@ def test_maximize_logl_equals_hand_written_rbf_objective():
 
     def objective(v):
         return log_marginal_likelihood(kernel, pv.with_values(v), X, y,
-                                       sigma_n=0.1, jitter=1e-10)
+                                       sigma_n=0.1)
 
     want = maximize(objective, SearchSpace.from_params(pv), 14, seed=5,
                     warm_start=pv.values)
@@ -359,7 +358,7 @@ def test_maximize_logl_equals_hand_written_quantum_objective():
 
     def objective(v):
         logL = log_marginal_likelihood(kernel, pv.with_values(v), X, y,
-                                       sigma_n=0.1, jitter=1e-10)
+                                       sigma_n=0.1)
         return surrogate_objective(logL)
 
     want = maximize(objective, SearchSpace.from_params(pv), 12, seed=8,

@@ -9,18 +9,24 @@ standardized energies with a small regularization noise.
 Run:  python3 demos/circuit_search_demo.py
 """
 
-from peskit.circuit_search import CircuitSearchConfig, search_circuit
-from peskit.data import Dataset, split_random, standardize, synth_pes
+from peskit.bench import ExperimentConfig, load_dataset
+from peskit.circuit_search import search_circuit
+from peskit.data import Dataset, split_random, standardize
 from peskit.gp import fit, predict, rmse
 from peskit.optimizer import maximize_logl, stable_seed
 from peskit.quantum import QuantumKernel, build_fixed_ansatz, \
     build_variable_ansatz
 
 SIGMA_N = 0.1  # keeps the surrogate objective off its floor at N=300
+CONFIG = ExperimentConfig(
+    dataset={"kind": "synthetic", "dims": 3, "n_points": 600, "seed": 0,
+             "pes": "coupled-morse"},
+    families=["quantum-variable"], seeds=[0], beam_width=9, refine_budget=40,
+    final_budget=200, max_depth=8, sigma_n=SIGMA_N)
 
 
 def main():
-    data = synth_pes(3, 600, seed=0, kind="coupled-morse")
+    data = load_dataset(CONFIG.dataset)
     split = split_random(data, 300, seed=stable_seed("demo", 0))
     train, test = data.subset(split.train), data.subset(split.test)
     # the search fits the targets it is given: standardize them first
@@ -37,9 +43,7 @@ def main():
                              train.X, train.y, 200, stable_seed(0, tag),
                              SIGMA_N).best_point
 
-    cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
-                              max_depth=8, seed=0, sigma_n=SIGMA_N)
-    spec, params, trace = search_circuit(train, 9, cfg)
+    spec, params, trace = search_circuit(train, CONFIG, CONFIG.seeds[0])
     print("search trace (iteration, beta, layers):")
     for row in trace:
         print(f"  {row.iteration}: beta={row.criterion:8.2f}  "

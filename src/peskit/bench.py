@@ -19,13 +19,13 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .circuit_search import CircuitSearchConfig, search_circuit
-from .data import Dataset, DataError, load_csv, split_energy_threshold, \
-    split_random, standardize, synth_pes, write_rows
+from .circuit_search import search_circuit
+from .data import PES_KINDS, Dataset, DataError, load_csv, \
+    split_energy_threshold, split_random, standardize, synth_pes, write_rows
 from .gp import TraceRow, bic, fit, predict, rmse
-from .kernel_search import ClassicalSearchConfig, search_classical
+from .kernel_search import search_classical
 from .kernels import ClassicalKernel, Leaf, param_vector, serialize
-from .nngp import NNGPSearchConfig, search_depth
+from .nngp import search_depth
 from .optimizer import maximize_logl, stable_seed
 # unused here; perfbench/tests/test_tracer.py reads bench.maximize
 from .optimizer import maximize
@@ -63,7 +63,11 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass
+def _is_positive(value):
+    return _is_number(value) and math.isfinite(value) and value > 0
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     dataset: dict
     families: list
@@ -84,6 +88,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -130,26 +136,45 @@ class ExperimentConfig:
         return cls.from_dict(doc)
 
 
+# the keys of a synthetic dataset block, with their defaults
+_SYNTHETIC = {"dims": 3, "n_points": 1000, "seed": 0, "pes": "coupled-morse",
+              "energy_top": 20000.0}
+
+
 def load_dataset(spec: dict) -> Dataset:
-    """Build the dataset named by the config's dataset block."""
+    """Build the dataset named by the config's dataset block; a bad key or
+    value raises ``ConfigError``."""
     kind = spec.get("kind")
     if kind == "synthetic":
-        known = {"kind", "dims", "n_points", "seed", "pes", "energy_top"}
-        unknown = set(spec) - known
+        unknown = set(spec) - {"kind", *_SYNTHETIC}
         if unknown:
             raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        return synth_pes(dims=spec.get("dims", 3),
-                         n_points=spec.get("n_points", 1000),
-                         seed=spec.get("seed", 0),
-                         kind=spec.get("pes", "coupled-morse"),
-                         energy_top=spec.get("energy_top", 20000.0))
+        s = {**_SYNTHETIC, **spec}
+        for ok, rule in (
+                (_is_int(s["dims"]) and 2 <= s["dims"] <= 6,
+                 "dims must be an integer in [2, 6]"),
+                (_is_int(s["n_points"]) and s["n_points"] >= 2,
+                 "n_points must be an integer >= 2"),
+                (_is_int(s["seed"]) and s["seed"] >= 0,
+                 "seed must be an integer >= 0"),
+                (s["pes"] in PES_KINDS, f"pes must be one of {PES_KINDS}"),
+                (_is_positive(s["energy_top"]),
+                 "energy_top must be a finite number > 0")):
+            if not ok:
+                raise ConfigError(f"dataset {rule}")
+        return synth_pes(dims=s["dims"], n_points=s["n_points"],
+                         seed=s["seed"], kind=s["pes"],
+                         energy_top=s["energy_top"])
     if kind == "csv":
         unknown = set(spec) - {"kind", "path", "a"}
         if unknown:
             raise ConfigError(f"unknown dataset keys: {sorted(unknown)}")
-        if "path" not in spec:
-            raise ConfigError("csv dataset needs a 'path'")
-        return load_csv(spec["path"], a=spec.get("a"))
+        if not isinstance(spec.get("path"), str):
+            raise ConfigError("csv dataset needs a 'path' string")
+        a = spec.get("a")
+        if a is not None and not _is_positive(a):
+            raise ConfigError("dataset a must be a finite number > 0")
+        return load_csv(spec["path"], a=a)
     raise ConfigError(f"unknown dataset kind {spec.get('kind')!r}")
 
 
@@ -207,19 +232,12 @@ def _fit_rbf(train, cfg, seed):
 
 
 def _fit_composite(train, cfg, seed):
-    scfg = ClassicalSearchConfig(budget=cfg.classical_budget,
-                                 final_budget=cfg.final_budget,
-                                 max_depth=cfg.max_depth, seed=seed,
-                                 sigma_n=cfg.sigma_n)
-    expr, params, trace = search_classical(train, scfg)
+    expr, params, trace = search_classical(train, cfg, seed)
     return ClassicalKernel(expr=expr), params, trace, serialize(expr)
 
 
 def _fit_nngp(train, cfg, seed):
-    ncfg = NNGPSearchConfig(budget=cfg.nngp_budget,
-                            max_depth=cfg.nngp_max_depth, seed=seed,
-                            sigma_n=cfg.sigma_n)
-    kernel, params, trace = search_depth(train, ncfg)
+    kernel, params, trace = search_depth(train, cfg, seed)
     winner = json.dumps({"depth": kernel.depth,
                          "params": params.values.tolist()})
     return kernel, params, trace, winner
@@ -235,11 +253,7 @@ def _fit_quantum_fixed(train, cfg, seed):
 
 
 def _fit_quantum_variable(train, cfg, seed):
-    qcfg = CircuitSearchConfig(refine_budget=cfg.refine_budget,
-                               final_budget=cfg.final_budget,
-                               max_depth=cfg.max_depth, seed=seed,
-                               sigma_n=cfg.sigma_n)
-    spec, params, trace = search_circuit(train, cfg.beam_width, qcfg)
+    spec, params, trace = search_circuit(train, cfg, seed)
     return QuantumKernel(spec), params, trace, spec.to_json()
 
 

@@ -4,7 +4,8 @@ The moves are every nonempty matching of R_ZZ gates on m qubits (the
 layer pool) plus one full layer of each single-qubit kind: H, and R_Z and
 R_Y data-encoded as x_i / theta_i. Each iteration appends one move to each
 retained circuit, screens the children by the beta metric at inherited
-parameters, keeps the best M, and optimizes the parameters of newly
+parameters, keeps the best ``beam_width`` of the run's
+``bench.ExperimentConfig``, and optimizes the parameters of newly
 retained circuits by Bayesian optimization of the surrogate objective.
 Screening simulates each parent's prefix, H^m followed by its U_e, once
 on the training inputs at the parameters its children inherit; a child's
@@ -34,9 +35,8 @@ from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import (Circuit, QuantumKernel, QubitLayer, apply_layers,
                       build_variable_ansatz, statevectors)
 
-__all__ = ["BeamState", "Candidate", "CircuitSearchConfig", "layer_pool",
-           "search_moves", "extend", "screen", "refine", "search_circuit",
-           "canonical_layers"]
+__all__ = ["BeamState", "Candidate", "layer_pool", "search_moves", "extend",
+           "screen", "refine", "search_circuit", "canonical_layers"]
 
 log = logging.getLogger(__name__)
 
@@ -102,15 +102,6 @@ class BeamState:
         return min(self.candidates, key=lambda c: c.key)
 
 
-@dataclass
-class CircuitSearchConfig:
-    refine_budget: int = 40
-    final_budget: int = 200
-    max_depth: int = 8
-    seed: int = 0
-    sigma_n: float = 0.0
-
-
 def extend(beam: BeamState, moves):
     """Children of every retained circuit: parent layers + one move.
 
@@ -153,8 +144,9 @@ def _child_states(prefix, spec, pv, X):
     return apply_layers(prefix.copy(), spec.circuit.layers[-2:], pv, X)
 
 
-def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
-    """Score unrefined candidates at inherited parameters; keep the top M.
+def screen(candidates, data, cfg) -> BeamState:
+    """Score unrefined candidates at inherited parameters; keep the top
+    ``cfg.beam_width``.
 
     The candidates are distinct layer sequences, as ``extend`` makes them.
     Consecutive children of one parent share its prefix state, which is
@@ -187,25 +179,26 @@ def screen(candidates, data, M, cfg: CircuitSearchConfig) -> BeamState:
     pool = sorted(candidates, key=lambda c: c.key)
     protected = [c for c in pool if c.protected]
     rest = [c for c in pool if not c.protected]
-    return BeamState(candidates=protected + rest[:M])
+    return BeamState(candidates=protected + rest[:cfg.beam_width])
 
 
-def _optimize(c: Candidate, data, budget, tag, cfg):
+def _optimize(c: Candidate, data, budget, tag, cfg, seed):
     """Maximize the surrogate objective over ``c``'s scales from its params."""
     kernel = QuantumKernel(build_variable_ansatz(data.X.shape[1], c.layers))
     return maximize_logl(kernel, kernel.default_params().with_values(c.params),
                          data.X, data.y, budget,
-                         stable_seed(cfg.seed, tag, canonical_layers(c.layers)),
+                         stable_seed(seed, tag, canonical_layers(c.layers)),
                          cfg.sigma_n)
 
 
-def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
-    """Optimize parameters of circuits not yet refined; frozen afterwards."""
+def refine(beam: BeamState, data, cfg, seed) -> BeamState:
+    """Optimize parameters of circuits not yet refined; frozen afterwards.
+    A ``cfg.refine_budget`` of 0 keeps their inherited parameters."""
     for c in beam.candidates:
         if c.refined:
             continue
         if cfg.refine_budget >= 1:
-            res = _optimize(c, data, cfg.refine_budget, "circuit", cfg)
+            res = _optimize(c, data, cfg.refine_budget, "circuit", cfg, seed)
             c.params, c.log_o = res.best_point, res.best_value
             c.beta_score = beta(c.log_o, data.X.shape[1] + 1, data.y.size)
         c.refined = True
@@ -213,25 +206,24 @@ def refine(beam: BeamState, data, cfg: CircuitSearchConfig) -> BeamState:
     return beam
 
 
-def search_circuit(data, M, config: CircuitSearchConfig | None = None):
+def search_circuit(data, cfg, seed):
     """Beam search over gate-layer sequences; returns (spec, params,
     SearchTrace).
 
-    The search fits ``data.y`` as given; a caller passes z-scored
-    targets, as ``bench._run_cell`` does. The depth-0 circuit (no appended layers) is always
-    scored as the baseline and retained outside the beam width. Each trace
-    row holds the best circuit's layer string, logO as score and beta as
-    criterion.
+    It reads ``beam_width``, ``refine_budget``, ``final_budget``,
+    ``max_depth`` and ``sigma_n`` of ``cfg`` and seeds every fit from the
+    cell ``seed``. The search fits ``data.y`` as given; a caller passes
+    z-scored targets, as ``bench._run_cell`` does. The depth-0 circuit (no
+    appended layers) is always scored as the baseline and retained outside
+    the beam width. Each trace row holds the best circuit's layer string,
+    logO as score and beta as criterion.
     """
-    if M < 1:
-        raise ValueError("beam width M must be >= 1")
-    cfg = config or CircuitSearchConfig()
     m = data.X.shape[1]
     moves = search_moves(m)
     init = build_variable_ansatz(m, ()).default_params().values
 
-    seeds = [Candidate(layers=(), params=init.copy(), protected=True)]
-    seeds += [Candidate(layers=(layer,), params=init.copy()) for layer in moves]
+    initial = [Candidate(layers=(), params=init.copy(), protected=True)]
+    initial += [Candidate(layers=(layer,), params=init.copy()) for layer in moves]
 
     def row(iteration, n_candidates, best, t0):
         return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
@@ -240,15 +232,15 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
 
     trace = SearchTrace()
     t0 = time.perf_counter()
-    beam = refine(screen(seeds, data, M, cfg), data, cfg)
+    beam = refine(screen(initial, data, cfg), data, cfg, seed)
     best = beam.best()
-    trace.append(row(0, len(seeds), best, t0))
+    trace.append(row(0, len(initial), best, t0))
 
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
         children = extend(beam, moves)
-        beam = refine(screen(beam.candidates + children, data, M, cfg),
-                      data, cfg)
+        beam = refine(screen(beam.candidates + children, data, cfg),
+                      data, cfg, seed)
         new_best = beam.best()
         trace.append(row(iteration, len(children), new_best, t0))
         improvement = new_best.beta_score - best.beta_score
@@ -257,10 +249,8 @@ def search_circuit(data, M, config: CircuitSearchConfig | None = None):
             break
 
     # final re-optimization of the winner at the larger budget
-    values = best.params
-    if cfg.final_budget >= 1:
-        values = _optimize(best, data, cfg.final_budget, "circuit-final",
-                           cfg).best_point
+    values = _optimize(best, data, cfg.final_budget, "circuit-final", cfg,
+                       seed).best_point
     spec = build_variable_ansatz(m, best.layers)
     return spec, spec.default_params().with_values(values), trace
 

@@ -41,11 +41,12 @@ def _common_flags(p):
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with the flags applied; ``replace`` checks each."""
     cfg = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        cfg.seeds = [args.seed]
+        cfg = replace(cfg, seeds=[args.seed])
     if args.out is not None:
-        cfg.out_dir = args.out
+        cfg = replace(cfg, out_dir=args.out)
     if args.threads is not None:
         cfg = replace(cfg, threads=args.threads)
     return cfg
@@ -54,8 +55,7 @@ def _load_config(args) -> ExperimentConfig:
 def _first_cell(args) -> ExperimentConfig:
     """The config narrowed to its first n_train and its first seed."""
     cfg = _load_config(args)
-    cfg.n_train, cfg.seeds = cfg.n_train[:1], cfg.seeds[:1]
-    return cfg
+    return replace(cfg, n_train=cfg.n_train[:1], seeds=cfg.seeds[:1])
 
 
 def cmd_fit(args):
@@ -67,8 +67,7 @@ def cmd_fit(args):
 
 
 def cmd_search(args, family):
-    cfg = _first_cell(args)
-    cfg.families = [family]
+    cfg = replace(_first_cell(args), families=[family])
     _, artifacts = run_interpolation(cfg)
     write_artifacts(artifacts, cfg.out_dir)
     print(artifacts["winners"][family])

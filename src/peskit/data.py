@@ -17,7 +17,9 @@ import numpy as np
 
 __all__ = ["Dataset", "Split", "DataError", "transform", "load_csv",
            "write_rows", "split_random", "split_energy_threshold", "MorsePes",
-           "synth_pes", "standardize"]
+           "PES_KINDS", "synth_pes", "standardize"]
+
+PES_KINDS = ("morse-sum", "coupled-morse")
 
 
 def standardize(y):
@@ -193,7 +195,7 @@ class MorsePes:
     def __post_init__(self):
         if not 2 <= self.dims <= 6:
             raise ValueError("dims must be in [2, 6]")
-        if self.kind not in ("morse-sum", "coupled-morse"):
+        if self.kind not in PES_KINDS:
             raise ValueError(f"unknown synthetic PES kind {self.kind!r}")
         rng = np.random.default_rng(self.seed)
         object.__setattr__(self, "r0", rng.uniform(1.5, 2.5, self.dims))

@@ -4,7 +4,8 @@ Each iteration combines the incumbent with every base kernel as a
 coefficient-weighted sum and product, optimizes every candidate's
 parameters by Bayesian optimization of the log marginal likelihood, and
 keeps the candidate with the largest BIC. The incumbent is retained in
-every candidate pool, so the best-BIC trace never decreases.
+every candidate pool, so the best-BIC trace never decreases. Budgets,
+depth and noise come from the run's ``bench.ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -20,24 +21,13 @@ from .kernels import (ClassicalKernel, Prod, Sum, ensure_coef, new_leaf,
                       param_vector, serialize, with_params)
 from .optimizer import maximize_logl, stable_seed
 
-__all__ = ["DEFAULT_BASES", "ClassicalSearchConfig", "expand",
-           "search_classical"]
+__all__ = ["DEFAULT_BASES", "expand", "search_classical"]
 
 # the five base families; Matern contributes its smoothness variants
 DEFAULT_BASES = ("RBF", "DOT", "RQ", "PER", "MAT12", "MAT32", "MAT52")
 # converged when a step improves the BIC by less than max(EPS_REL*|BIC|, EPS_ABS)
 EPS_REL = 0.01
 EPS_ABS = 0.5
-
-
-@dataclass
-class ClassicalSearchConfig:
-    bases: tuple = DEFAULT_BASES
-    budget: int = 50
-    final_budget: int = 200
-    max_depth: int = 8
-    seed: int = 0
-    sigma_n: float = 0.0
 
 
 def expand(incumbent, bases=DEFAULT_BASES):
@@ -66,9 +56,9 @@ class _Scored:
         return (-self.bic, self.M, serialize(self.expr))
 
 
-def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
+def _optimize_candidate(expr, X, y, cfg, seed, budget, p_scale):
     pv = param_vector(expr, p_scale=p_scale)
-    seed = stable_seed(cfg.seed, "classical", serialize(expr))
+    seed = stable_seed(seed, "classical", serialize(expr))
     res = maximize_logl(ClassicalKernel(expr=expr), pv, X, y, budget, seed,
                         cfg.sigma_n)
     fitted = with_params(expr, res.best_point)
@@ -76,15 +66,16 @@ def _optimize_candidate(expr, X, y, cfg, budget, p_scale):
                    bic=bic(res.best_value, pv.size, y.size), M=pv.size)
 
 
-def search_classical(data, config: ClassicalSearchConfig | None = None):
+def search_classical(data, cfg, seed, bases=DEFAULT_BASES):
     """Run the greedy composite-kernel search on a training set.
 
-    The search fits ``data.y`` as given; a caller passes z-scored
+    It reads ``classical_budget``, ``final_budget``, ``max_depth`` and
+    ``sigma_n`` of ``cfg`` and seeds every fit from the cell ``seed``. The
+    search fits ``data.y`` as given; a caller passes z-scored
     targets, as ``bench._run_cell`` does. Returns (best expression, fitted
     ParamVector, SearchTrace); each trace row's criterion is the step's best
     BIC and its score that candidate's logL.
     """
-    cfg = config or ClassicalSearchConfig()
     X, y = data.X, data.y
     dists = pdist(X)
     p_scale = float(np.median(dists)) if dists.size else 1.0
@@ -96,19 +87,19 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
             if incumbent_scored is not None and expr is incumbent_scored.expr:
                 scored.append(incumbent_scored)  # frozen score, not re-optimized
             else:
-                scored.append(_optimize_candidate(expr, X, y, cfg, cfg.budget,
-                                                  p_scale))
+                scored.append(_optimize_candidate(
+                    expr, X, y, cfg, seed, cfg.classical_budget, p_scale))
         best = min(scored, key=lambda s: s.key)
         return best, len(candidates), time.perf_counter() - t0
 
     trace = SearchTrace()
-    pool = [new_leaf(b, coef=1.0) for b in cfg.bases]
+    pool = [new_leaf(b, coef=1.0) for b in bases]
     best, n_cand, dt = score_pool(pool, None)
     trace.append(TraceRow(0, n_cand, serialize(best.expr), best.logL,
                           best.bic, best.M, dt))
 
     for iteration in range(1, cfg.max_depth):
-        pool = expand(best.expr, cfg.bases)
+        pool = expand(best.expr, bases)
         new_best, n_cand, dt = score_pool(pool, best)
         trace.append(TraceRow(iteration, n_cand, serialize(new_best.expr),
                               new_best.logL, new_best.bic, new_best.M, dt))
@@ -119,5 +110,6 @@ def search_classical(data, config: ClassicalSearchConfig | None = None):
             break
 
     # final re-fit: never below best, as maximize starts from best's point
-    best = _optimize_candidate(best.expr, X, y, cfg, cfg.final_budget, p_scale)
+    best = _optimize_candidate(best.expr, X, y, cfg, seed, cfg.final_budget,
+                               p_scale)
     return best.expr, param_vector(best.expr, p_scale=p_scale), trace

@@ -3,7 +3,7 @@
 The infinite-width layer recursion has a closed arcsine form for erf,
 used here instead of numerical integration. Per-layer weight and bias
 scales are independent trainable parameters; depth is grown until the
-training log-likelihood plateaus.
+training log-likelihood plateaus or reaches the config's ``nngp_max_depth``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 from .gp import KernelFn, ParamVector, SearchTrace, TraceRow
 from .optimizer import maximize_logl, stable_seed
 
-__all__ = ["NNGPKernel", "NNGPSearchConfig", "search_depth"]
+__all__ = ["NNGPKernel", "search_depth"]
 
 SIGMA_W_BOUNDS = (1e-2, 1e1)
 SIGMA_B_BOUNDS = (0.0, 1e1)
@@ -87,31 +87,22 @@ class NNGPKernel(KernelFn):
         return K
 
 
-@dataclass
-class NNGPSearchConfig:
-    budget: int = 50
-    max_depth: int = 6
-    seed: int = 0
-    sigma_n: float = 0.0
-
-
-def search_depth(data, config: NNGPSearchConfig | None = None):
+def search_depth(data, cfg, seed):
     """Grow NNGP depth until the optimized logL stops improving.
 
-    The search fits ``data.y`` as given; a caller passes z-scored
+    It reads ``nngp_budget``, ``nngp_max_depth`` and ``sigma_n`` of the
+    run's ``ExperimentConfig`` ``cfg`` and seeds every fit from the cell
+    ``seed``. The search fits ``data.y`` as given; a caller passes z-scored
     targets, as ``bench._run_cell`` does. Returns (kernel, fitted
     ParamVector, SearchTrace) for the best depth seen. Row L-1 holds depth
     L, with its logL as score and criterion.
     """
-    cfg = config or NNGPSearchConfig()
-    if cfg.max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     X, y = data.X, data.y
     trace = SearchTrace()
     best = None  # (logL, kernel, params)
     prev_logL = None
     warm = None
-    for L in range(1, cfg.max_depth + 1):
+    for L in range(1, cfg.nngp_max_depth + 1):
         t0 = time.perf_counter()
         kernel = NNGPKernel(depth=L)
         pv = kernel.default_params()
@@ -120,8 +111,8 @@ def search_depth(data, config: NNGPSearchConfig | None = None):
             values = pv.values.copy()
             values[:warm.size] = warm
             pv = pv.with_values(values)
-        res = maximize_logl(kernel, pv, X, y, cfg.budget,
-                            stable_seed(cfg.seed, "nngp", L), cfg.sigma_n)
+        res = maximize_logl(kernel, pv, X, y, cfg.nngp_budget,
+                            stable_seed(seed, "nngp", L), cfg.sigma_n)
         fitted = pv.with_values(res.best_point)
         trace.append(TraceRow(L - 1, 1, str(L), res.best_value, res.best_value,
                               fitted.size, time.perf_counter() - t0))

@@ -19,12 +19,11 @@ from scipy.linalg import expm
 from scipy.special import erf
 
 from peskit.bench import ExperimentConfig
-from peskit.circuit_search import (CircuitSearchConfig, canonical_layers,
-                                   layer_pool, search_circuit)
+from peskit.circuit_search import canonical_layers, layer_pool, search_circuit
 from peskit.data import split_random, standardize, synth_pes
 from peskit.gp import (beta, fit, log_marginal_likelihood, predict, rmse,
                        surrogate_objective)
-from peskit.kernel_search import ClassicalSearchConfig, search_classical
+from peskit.kernel_search import search_classical
 from peskit.kernels import ClassicalKernel, Sum, new_leaf, param_vector
 from peskit.nngp import NNGPKernel
 from peskit.optimizer import SearchSpace, maximize, stable_seed
@@ -33,6 +32,7 @@ from peskit.quantum import (GateOp, QuantumKernel, QubitLayer, apply_gate,
                             zero_state)
 from quantum_oracle import fidelity_kernel, fidelity_via_adjoint
 from screen_oracle import involution_count
+from search_config import search_config
 
 rng = np.random.default_rng(20240817)
 
@@ -229,9 +229,9 @@ def test_beam_search_equals_exhaustive_oracle():
     fp, fo = optimize(best_layers, bp.copy(), FINAL, "circuit-final")
     oracle_beta = beta(fo, MP, N)
 
-    cfg = CircuitSearchConfig(refine_budget=REFINE, final_budget=FINAL,
-                              max_depth=2, seed=SEED, sigma_n=SN)
-    spec, params, _ = search_circuit(replace(data, y=ys), len(moves), cfg)
+    cfg = search_config(beam_width=len(moves), refine_budget=REFINE,
+                        final_budget=FINAL, max_depth=2, sigma_n=SN)
+    spec, params, _ = search_circuit(replace(data, y=ys), cfg, SEED)
     # rebuild the appended layers between the leading H and final R_Y layers
     search_layers = tuple(
         tuple(g.qubits for g in layer) if layer[0].kind == "RZZ"
@@ -250,9 +250,8 @@ def test_beam_search_equals_exhaustive_oracle():
 def test_classical_trace_monotone(seed):
     data = synth_pes(2, 80, seed)
     data = replace(data, y=standardize(data.y)[0])
-    cfg = ClassicalSearchConfig(budget=6, final_budget=6, max_depth=3,
-                                seed=seed)
-    _, _, trace = search_classical(data, cfg)
+    cfg = search_config(classical_budget=6, final_budget=6, max_depth=3)
+    _, _, trace = search_classical(data, cfg, seed)
     bics = [r.criterion for r in trace]
     assert all(b >= a for a, b in zip(bics, bics[1:]))
 
@@ -261,9 +260,9 @@ def test_classical_trace_monotone(seed):
 def test_circuit_trace_monotone(seed):
     data = synth_pes(3, 60, seed).subset(range(50))
     data = replace(data, y=standardize(data.y)[0])
-    cfg = CircuitSearchConfig(refine_budget=8, final_budget=8, max_depth=3,
-                              seed=seed, sigma_n=0.1)
-    _, _, trace = search_circuit(data, 2, cfg)
+    cfg = search_config(beam_width=2, refine_budget=8, final_budget=8,
+                        max_depth=3, sigma_n=0.1)
+    _, _, trace = search_circuit(data, cfg, seed)
     betas = [r.criterion for r in trace]
     assert all(b >= a for a, b in zip(betas, betas[1:]))
 
@@ -360,9 +359,9 @@ def circuit_benchmark_medians():
         zero = build_variable_ansatz(3, ())
         d0.append(holdout(zero, optimize_spec(zero, "d0")))
 
-        cfg = CircuitSearchConfig(refine_budget=40, final_budget=200,
-                                  max_depth=8, seed=seed, sigma_n=SIGMA_N)
-        spec, params, _ = search_circuit(replace(train, y=ys), 9, cfg)
+        cfg = search_config(beam_width=9, refine_budget=40, final_budget=200,
+                            max_depth=8, sigma_n=SIGMA_N)
+        spec, params, _ = search_circuit(replace(train, y=ys), cfg, seed)
         conv.append(holdout(spec, params.values))
 
         fixed = build_fixed_ansatz(3)
@@ -398,17 +397,17 @@ def test_composite_search_improves_on_single_bases():
                      sigma_n=0.0, jitter=1e-10)
             return rmse(mean + scale * predict(gp, test.X), test.y)
 
-        cfg = ClassicalSearchConfig(budget=30, final_budget=100,
-                                    seed=stable_seed(seed, "cls"))
-        expr, pv, trace = search_classical(replace(train, y=ys), cfg)
+        cfg = search_config(classical_budget=30, final_budget=100)
+        expr, pv, trace = search_classical(replace(train, y=ys), cfg,
+                                           stable_seed(seed, "cls"))
         # iteration 0 scores exactly the single-base pool
         gains.append(trace.rows[-1].criterion - trace.rows[0].criterion)
         comp_rmse.append(holdout(expr, pv))
 
-        rbf_cfg = ClassicalSearchConfig(bases=("RBF",), max_depth=1,
-                                        budget=30, final_budget=100,
-                                        seed=stable_seed(seed, "cls"))
-        rexpr, rpv, _ = search_classical(replace(train, y=ys), rbf_cfg)
+        rbf_cfg = replace(cfg, max_depth=1)
+        rexpr, rpv, _ = search_classical(replace(train, y=ys), rbf_cfg,
+                                         stable_seed(seed, "cls"),
+                                         bases=("RBF",))
         rbf_rmse.append(holdout(rexpr, rpv))
     assert min(gains) >= 1.0
     assert np.median(comp_rmse) <= np.median(rbf_rmse)

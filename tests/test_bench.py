@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -56,6 +57,18 @@ def test_config_rejects_unknown_and_missing_keys():
     for bad in (-0.1, float("nan"), float("inf"), "0.1", None, True):
         with pytest.raises(ConfigError, match="sigma_n"):
             ExperimentConfig.from_dict(_config(sigma_n=bad))
+    for doc in (None, 5, [], "config"):
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_dict(doc)
+
+
+def test_config_is_frozen_and_replace_checks_again():
+    cfg = ExperimentConfig.from_dict(_config())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seeds = [1]
+    assert dataclasses.replace(cfg, seeds=[1]).seeds == [1]
+    with pytest.raises(ConfigError, match="beam_width"):
+        dataclasses.replace(cfg, beam_width=0)
 
 
 def test_load_dataset_validation():
@@ -68,6 +81,19 @@ def test_load_dataset_validation():
     data = load_dataset({"kind": "synthetic", "dims": 2, "n_points": 30,
                          "seed": 1})
     assert data.n == 30
+    synthetic = {"kind": "synthetic", "dims": 2, "n_points": 30}
+    for key, bad in (("dims", 7), ("dims", 1), ("dims", "3"), ("dims", 2.0),
+                     ("n_points", 1), ("n_points", 30.5), ("seed", -1),
+                     ("seed", "0"), ("seed", True), ("pes", "foo"),
+                     ("pes", None), ("energy_top", 0),
+                     ("energy_top", float("inf")), ("energy_top", "1e4")):
+        with pytest.raises(ConfigError, match=key):
+            load_dataset({**synthetic, key: bad})
+    for bad in (0, -2.5, float("nan"), "2.5", True):
+        with pytest.raises(ConfigError, match="dataset a"):
+            load_dataset({"kind": "csv", "path": "pes.csv", "a": bad})
+    with pytest.raises(ConfigError, match="path"):
+        load_dataset({"kind": "csv", "path": 5})
 
 
 def test_interpolation_row_count_and_order():
@@ -240,6 +266,9 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli.main(["fit", "--config", str(path)]) == cli.EXIT_CONFIG
     assert cli.main(["fit", "--config", str(tmp_path / "missing.json")]) \
         == cli.EXIT_CONFIG
+    for doc in ("null", "5", "[]"):
+        path.write_text(doc)
+        assert cli.main(["fit", "--config", str(path)]) == cli.EXIT_CONFIG
 
 
 @pytest.mark.parametrize("command, key, bad", [
@@ -251,6 +280,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ("bench-extrap", "thresholds", [0]),
     ("bench-interp", "seeds", ["a"]),
     ("bench-interp", "seeds", [0, True]),
+    ("bench-interp", "dataset", {"kind": "synthetic", "dims": 7}),
+    ("bench-interp", "dataset", {"kind": "synthetic", "dims": "3"}),
+    ("bench-interp", "dataset", {"kind": "synthetic", "pes": "foo"}),
+    ("bench-extrap", "dataset", {"kind": "csv", "path": "pes.csv", "a": 0}),
 ])
 def test_cli_rejects_bad_sizes_thresholds_and_seeds(tmp_path, capsys,
                                                      command, key, bad):

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from peskit import circuit_search
-from peskit.circuit_search import (BeamState, Candidate, CircuitSearchConfig,
-                                   _child_states, _prefix_states,
-                                   canonical_layers, extend, layer_pool,
-                                   refine, screen, search_circuit,
+from peskit.circuit_search import (BeamState, Candidate, _child_states,
+                                   _prefix_states, canonical_layers, extend,
+                                   layer_pool, refine, screen, search_circuit,
                                    search_moves)
 from peskit.data import standardize, synth_pes
 from peskit.gp import NotPositiveDefiniteError
 from peskit.optimizer import SENTINEL
 from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
 from screen_oracle import involution_count, screen_scores
+from search_config import search_config
 
 
 def test_involution_count_recurrence():
@@ -97,11 +97,11 @@ def _search_data(n=40, seed=0):
 
 def test_screen_retains_top_m_plus_protected():
     data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    cfg = search_config(beam_width=2, sigma_n=0.1)
     cands = [_cand(()), _cand((((0, 1),),)), _cand((((0, 2),),)),
              _cand((((1, 2),),))]
     cands[0].protected = True
-    beam = screen(cands, data, 2, cfg)
+    beam = screen(cands, data, cfg)
     assert len(beam.candidates) == 3  # protected baseline + top 2
     assert any(c.protected for c in beam.candidates)
     rest = [c for c in beam.candidates if not c.protected]
@@ -110,8 +110,8 @@ def test_screen_retains_top_m_plus_protected():
 
 def test_screen_clamps_when_m_exceeds_pool():
     data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
-    beam = screen([_cand((((0, 1),),))], data, 10, cfg)
+    cfg = search_config(beam_width=10, sigma_n=0.1)
+    beam = screen([_cand((((0, 1),),))], data, cfg)
     assert len(beam.candidates) == 1
 
 
@@ -139,7 +139,7 @@ def test_prefix_built_child_states_equal_full_simulation(m):
 
 def test_screen_scores_equal_per_candidate_oracle():
     data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    cfg = search_config(sigma_n=0.1)
     moves = search_moves(3)
     # iteration 0: the protected baseline and every depth-1 circuit
     seeds = [_cand(())] + [_cand((move,)) for move in moves]
@@ -156,7 +156,7 @@ def test_screen_scores_equal_per_candidate_oracle():
     twins[1].params = twins[1].params * 3.0
     for cands in (seeds, parents + children, twins):
         want = screen_scores(cands, data, cfg)
-        screen(cands, data, len(cands), cfg)
+        screen(cands, data, replace(cfg, beam_width=len(cands)))
         got = {canonical_layers(c.layers): (c.log_o, c.beta_score)
                for c in cands if not c.refined}
         assert got == want
@@ -179,13 +179,13 @@ def _poison_layers(monkeypatch, layers, exc):
 def test_screen_scores_typed_failure_as_sentinel_with_one_warning(
         monkeypatch, caplog):
     data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    cfg = search_config(beam_width=3, sigma_n=0.1)
     bad = (((0, 2),),)
     _poison_layers(monkeypatch, bad,
                    NotPositiveDefiniteError("factorization failed"))
     caplog.set_level(logging.WARNING, logger="peskit.circuit_search")
     cands = [_cand((((0, 1),),)), _cand(bad), _cand((((1, 2),),))]
-    beam = screen(cands, data, 3, cfg)
+    beam = screen(cands, data, cfg)
     by_key = {canonical_layers(c.layers): c for c in beam.candidates}
     assert by_key["0-2"].log_o == SENTINEL
     assert by_key["0-1"].log_o > SENTINEL and by_key["1-2"].log_o > SENTINEL
@@ -198,53 +198,53 @@ def test_screen_scores_typed_failure_as_sentinel_with_one_warning(
 
 def test_screen_propagates_untyped_failures(monkeypatch):
     data = _search_data()
-    cfg = CircuitSearchConfig(sigma_n=0.1, seed=0)
+    cfg = search_config(beam_width=3, sigma_n=0.1)
     bad = (((0, 2),),)
     _poison_layers(monkeypatch, bad, ValueError("a bug, not a fit failure"))
     with pytest.raises(ValueError, match="a bug"):
-        screen([_cand((((0, 1),),)), _cand(bad)], data, 3, cfg)
+        screen([_cand((((0, 1),),)), _cand(bad)], data, cfg)
 
 
 def test_refine_improves_or_keeps_screened_score():
     data = _search_data()
-    cfg = CircuitSearchConfig(refine_budget=10, sigma_n=0.1, seed=0)
-    beam = screen([_cand((((0, 1),),))], data, 3, cfg)
+    cfg = search_config(beam_width=3, refine_budget=10, sigma_n=0.1)
+    beam = screen([_cand((((0, 1),),))], data, cfg)
     screened = beam.candidates[0].log_o
-    refined = refine(beam, data, cfg).candidates[0]
+    refined = refine(beam, data, cfg, 0).candidates[0]
     assert refined.refined
     assert refined.log_o >= screened
 
 
 def test_zero_budget_refine_is_noop():
     data = _search_data()
-    cfg = CircuitSearchConfig(refine_budget=0, sigma_n=0.1, seed=0)
-    beam = screen([_cand((((0, 1),),))], data, 3, cfg)
+    cfg = search_config(beam_width=3, refine_budget=0, sigma_n=0.1)
+    beam = screen([_cand((((0, 1),),))], data, cfg)
     before = beam.candidates[0].beta_score
-    after = refine(beam, data, cfg).candidates[0]
+    after = refine(beam, data, cfg, 0).candidates[0]
     assert after.beta_score == before
     assert after.refined
 
 
 def test_refined_candidates_are_frozen():
     data = _search_data()
-    cfg = CircuitSearchConfig(refine_budget=6, sigma_n=0.1, seed=0)
-    beam = refine(screen([_cand((((0, 1),),))], data, 3, cfg), data, cfg)
+    cfg = search_config(beam_width=3, refine_budget=6, sigma_n=0.1)
+    beam = refine(screen([_cand((((0, 1),),))], data, cfg), data, cfg, 0)
     params = beam.candidates[0].params.copy()
     log_o = beam.candidates[0].log_o
-    again = refine(beam, data, cfg).candidates[0]
+    again = refine(beam, data, cfg, 0).candidates[0]
     assert np.array_equal(again.params, params)
     assert again.log_o == log_o
 
 
-def _quick_cfg(seed=0):
-    return CircuitSearchConfig(refine_budget=8, final_budget=10, max_depth=3,
-                               seed=seed, sigma_n=0.1)
+def _quick_cfg(beam_width):
+    return search_config(beam_width=beam_width, refine_budget=8,
+                         final_budget=10, max_depth=3, sigma_n=0.1)
 
 
 def test_search_is_deterministic():
     data = _search_data(60, seed=0)
-    s1, p1, t1 = search_circuit(data, 2, _quick_cfg())
-    s2, p2, t2 = search_circuit(data, 2, _quick_cfg())
+    s1, p1, t1 = search_circuit(data, _quick_cfg(2), 0)
+    s2, p2, t2 = search_circuit(data, _quick_cfg(2), 0)
     assert s1 == s2
     assert np.array_equal(p1.values, p2.values)
     assert [r.criterion for r in t1] == [r.criterion for r in t2]
@@ -252,7 +252,7 @@ def test_search_is_deterministic():
 
 def test_search_trace_monotone_and_winner_beats_baseline():
     data = _search_data(60, seed=1)
-    _, _, trace = search_circuit(data, 3, _quick_cfg(seed=1))
+    _, _, trace = search_circuit(data, _quick_cfg(3), 1)
     betas = [r.criterion for r in trace]
     assert all(b2 >= b1 for b1, b2 in zip(betas, betas[1:]))
     # iteration 0 already includes the depth-0 baseline, so the final best
@@ -262,27 +262,22 @@ def test_search_trace_monotone_and_winner_beats_baseline():
 
 def test_search_winner_respects_layer_constraint():
     data = _search_data(50, seed=2)
-    spec, _, _ = search_circuit(data, 2, _quick_cfg(seed=2))
+    spec, _, _ = search_circuit(data, _quick_cfg(2), 2)
     for layer in spec.circuit.layers:
         qubits = [q for g in layer for q in g.qubits]
         assert len(qubits) == len(set(qubits))
-
-
-def test_search_validates_beam_width():
-    with pytest.raises(ValueError):
-        search_circuit(_search_data(), 0, _quick_cfg())
 
 
 def test_search_screens_distinct_candidates(monkeypatch):
     # screen relies on extend never handing it one layer sequence twice
     calls, real = [], circuit_search.screen
 
-    def screen(candidates, data, M, cfg):
+    def screen(candidates, data, cfg):
         keys = [canonical_layers(c.layers) for c in candidates]
         calls.append(len(keys))
         assert len(set(keys)) == len(keys)
-        return real(candidates, data, M, cfg)
+        return real(candidates, data, cfg)
 
     monkeypatch.setattr(circuit_search, "screen", screen)
-    search_circuit(_search_data(60, seed=1), 3, _quick_cfg(seed=1))
+    search_circuit(_search_data(60, seed=1), _quick_cfg(3), 1)
     assert len(calls) >= 2

@@ -6,8 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.spatial.distance import cdist
 
-from peskit.circuit_search import (Candidate, CircuitSearchConfig,
-                                   _ChildKernel, _child_states,
+from peskit.circuit_search import (Candidate, _ChildKernel, _child_states,
                                    _prefix_states, screen, search_moves)
 from peskit.data import Dataset
 from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
@@ -23,6 +22,7 @@ from peskit import nngp
 from peskit.nngp import NNGPKernel
 from peskit.quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
                             build_variable_ansatz, statevectors)
+from search_config import search_config
 
 
 def _rbf(theta=1.0):
@@ -424,8 +424,8 @@ def test_quantum_nxn_fit_above_block_size_is_whole():
     init = build_variable_ansatz(m, ()).default_params().values
     cands = [Candidate(layers=(move,), params=init.copy())
              for move in search_moves(m)[:3]]
-    beam = screen(cands, Dataset(X=X, y=y), 2,
-                  CircuitSearchConfig(sigma_n=0.1))
+    beam = screen(cands, Dataset(X=X, y=y),
+                  search_config(beam_width=2, sigma_n=0.1))
     assert all(np.isfinite(c.log_o) for c in beam.candidates)
 
 
@@ -653,7 +653,8 @@ def test_nxn_path_never_builds_features(monkeypatch):
     init = build_variable_ansatz(5, ()).default_params().values
     cands = [Candidate(layers=(move,), params=init.copy())
              for move in search_moves(5)[:4]]
-    screen(cands, Dataset(X=X5, y=y5), 2, CircuitSearchConfig(sigma_n=0.05))
+    screen(cands, Dataset(X=X5, y=y5),
+           search_config(beam_width=2, sigma_n=0.05))
     assert calls == []
 
 

@@ -4,17 +4,20 @@ from dataclasses import astuple, replace
 import numpy as np
 import pytest
 
-from peskit.circuit_search import CircuitSearchConfig, search_circuit
+from peskit.circuit_search import search_circuit
 from peskit.data import standardize, synth_pes, write_rows
 from peskit.gp import SearchTrace, TraceRow
-from peskit.kernel_search import (DEFAULT_BASES, ClassicalSearchConfig,
-                                  expand, search_classical)
+from peskit.kernel_search import DEFAULT_BASES, expand, search_classical
 from peskit.kernels import Leaf, Prod, Sum, new_leaf, serialize
-from peskit.nngp import NNGPSearchConfig, search_depth
+from peskit.nngp import search_depth
+from search_config import search_config
 
 
-FAST = ClassicalSearchConfig(bases=("RBF", "DOT", "MAT52"), budget=8,
-                             final_budget=10, max_depth=3, seed=0)
+FAST = search_config(classical_budget=8, final_budget=10, max_depth=3)
+
+
+def _fast_search(data):
+    return search_classical(data, FAST, 0, bases=("RBF", "DOT", "MAT52"))
 
 
 def _search_data(n_points, seed, n):
@@ -48,7 +51,7 @@ def test_expand_attaches_coef_to_bare_incumbent():
 
 def test_search_returns_fitted_winner_and_trace():
     data = _search_data(80, 0, 60)
-    expr, params, trace = search_classical(data, FAST)
+    expr, params, trace = _fast_search(data)
     assert isinstance(trace, SearchTrace)
     assert len(trace.rows) >= 1
     assert all(isinstance(r, TraceRow) for r in trace.rows)
@@ -60,27 +63,27 @@ def test_search_returns_fitted_winner_and_trace():
 
 def test_search_best_bic_trace_is_monotone():
     data = _search_data(80, 1, 60)
-    _, _, trace = search_classical(data, FAST)
+    _, _, trace = _fast_search(data)
     bics = [r.criterion for r in trace]
     assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bics, bics[1:]))
 
 
 def test_search_is_deterministic():
     data = _search_data(70, 2, 50)
-    e1, p1, t1 = search_classical(data, FAST)
-    e2, p2, t2 = search_classical(data, FAST)
+    e1, p1, t1 = _fast_search(data)
+    e2, p2, t2 = _fast_search(data)
     assert serialize(e1) == serialize(e2)
     assert np.array_equal(p1.values, p2.values)
     assert [r.criterion for r in t1] == [r.criterion for r in t2]
 
 
 SEARCHES = {
-    "classical": lambda data: search_classical(data, FAST),
+    "classical": _fast_search,
     "nngp": lambda data: search_depth(
-        data, NNGPSearchConfig(budget=8, max_depth=3, seed=0)),
+        data, search_config(nngp_budget=8, nngp_max_depth=3), 0),
     "circuit": lambda data: search_circuit(
-        data, 2, CircuitSearchConfig(refine_budget=6, final_budget=6,
-                                     max_depth=3, seed=0, sigma_n=0.1)),
+        data, search_config(beam_width=2, refine_budget=6, final_budget=6,
+                            max_depth=3, sigma_n=0.1), 0),
 }
 
 

@@ -7,7 +7,8 @@ from scipy.special import erf
 from peskit.data import standardize, synth_pes
 from peskit.gp import SearchTrace, TraceRow
 from peskit.nngp import (SIGMA_B_BOUNDS, SIGMA_W_BOUNDS, NNGPKernel,
-                         NNGPSearchConfig, search_depth)
+                         search_depth)
+from search_config import search_config
 
 rng = np.random.default_rng(5)
 
@@ -26,14 +27,6 @@ def test_depth_validation_and_param_layout():
     # (sigma_w, sigma_b) per layer, in layer order
     assert pv.scales == ("log", "linear") * 3
     assert pv.lower.tolist() == [SIGMA_W_BOUNDS[0], SIGMA_B_BOUNDS[0]] * 3
-
-
-def test_search_depth_rejects_empty_search():
-    data = synth_pes(2, 30, seed=0)
-    with pytest.raises(ValueError, match="budget"):
-        search_depth(data, NNGPSearchConfig(budget=0))
-    with pytest.raises(ValueError, match="max_depth"):
-        search_depth(data, NNGPSearchConfig(max_depth=0))
 
 
 def test_gram_rejects_wrong_param_count():
@@ -110,9 +103,9 @@ def test_rectangular_gram_consistent_with_square():
 def test_search_depth_returns_trace_and_is_deterministic():
     data = synth_pes(2, 60, seed=3).subset(range(40))
     data = replace(data, y=standardize(data.y)[0])
-    cfg = NNGPSearchConfig(budget=10, max_depth=3, seed=1)
-    k1, p1, t1 = search_depth(data, cfg)
-    k2, p2, t2 = search_depth(data, cfg)
+    cfg = search_config(nngp_budget=10, nngp_max_depth=3)
+    k1, p1, t1 = search_depth(data, cfg, 1)
+    k2, p2, t2 = search_depth(data, cfg, 1)
     assert k1.depth == k2.depth
     assert np.array_equal(p1.values, p2.values)
     assert [r.criterion for r in t1] == [r.criterion for r in t2]

@@ -14,8 +14,7 @@ from peskit.circuit_search import search_circuit
 from peskit.data import Dataset, split_random, standardize
 from peskit.gp import fit, predict, rmse
 from peskit.optimizer import maximize_logl, stable_seed
-from peskit.quantum import QuantumKernel, build_fixed_ansatz, \
-    build_variable_ansatz
+from peskit.quantum import build_fixed_ansatz, build_variable_ansatz
 
 SIGMA_N = 0.1  # keeps the surrogate objective off its floor at N=300
 CONFIG = ExperimentConfig(
@@ -33,29 +32,29 @@ def main():
     ys, mean, scale = standardize(train.y)
     train = Dataset(X=train.X, y=ys)
 
-    def test_rmse(spec, values):
-        gp = fit(QuantumKernel(spec), spec.default_params().with_values(values),
+    def test_rmse(kernel, values):
+        gp = fit(kernel, kernel.default_params().with_values(values),
                  train.X, train.y, sigma_n=SIGMA_N)
         return rmse(mean + scale * predict(gp, test.X), test.y)
 
-    def optimize_spec(spec, tag):
-        return maximize_logl(QuantumKernel(spec), spec.default_params(),
+    def optimize(kernel, tag):
+        return maximize_logl(kernel, kernel.default_params(),
                              train.X, train.y, 200, stable_seed(0, tag),
                              SIGMA_N).best_point
 
-    spec, params, trace = search_circuit(train, CONFIG, CONFIG.seeds[0])
+    kernel, params, trace = search_circuit(train, CONFIG, CONFIG.seeds[0])
     print("search trace (iteration, beta, layers):")
     for row in trace:
         print(f"  {row.iteration}: beta={row.criterion:8.2f}  "
               f"[{row.winner or 'no appended layers'}]")
 
-    print(f"\nconverged circuit RMSE:   {test_rmse(spec, params.values):8.2f}")
+    print(f"\nconverged circuit RMSE:   {test_rmse(kernel, params.values):8.2f}")
     zero = build_variable_ansatz(3, ())
     print(f"zero-layer baseline RMSE: "
-          f"{test_rmse(zero, optimize_spec(zero, 'd0')):8.2f}")
+          f"{test_rmse(zero, optimize(zero, 'd0')):8.2f}")
     fixed = build_fixed_ansatz(3)
     print(f"fixed all-pairs RMSE:     "
-          f"{test_rmse(fixed, optimize_spec(fixed, 'fx')):8.2f}")
+          f"{test_rmse(fixed, optimize(fixed, 'fx')):8.2f}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ from .gp import (ParamVector, TrainedGP, beta, bic, build_kernel_matrix, fit,
 from .kernels import ClassicalKernel, serialize
 from .nngp import NNGPKernel, search_depth
 from .kernel_search import search_classical
-from .quantum import (Circuit, GateOp, QuantumKernel, QuantumKernelSpec,
-                      build_fixed_ansatz, build_variable_ansatz)
+from .quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
+                      build_variable_ansatz)
 from .circuit_search import layer_pool, search_circuit
 from .optimizer import OptResult, SearchSpace, maximize
 

@@ -29,7 +29,7 @@ from .nngp import search_depth
 from .optimizer import maximize_logl, stable_seed
 # unused here; perfbench/tests/test_tracer.py reads bench.maximize
 from .optimizer import maximize
-from .quantum import QuantumKernel, build_fixed_ansatz
+from .quantum import build_fixed_ansatz
 
 __all__ = ["ConfigError", "ComputeError", "ExperimentConfig", "ResultRow",
            "ResultTable", "FAMILIES", "run_interpolation", "run_extrapolation",
@@ -104,12 +104,12 @@ class ExperimentConfig:
         for key in ("families", "seeds", "n_train", "thresholds"):
             if not isinstance(getattr(self, key), (list, tuple)):
                 raise ConfigError(f"{key} must be a list")
+            if not getattr(self, key):
+                raise ConfigError(f"{key} list must be nonempty")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ConfigError(f"unknown kernel family {fam!r}; "
                                   f"choose from {FAMILIES}")
-        if not self.seeds:
-            raise ConfigError("seeds list must be nonempty")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' key")
         for key, least in _LEAST.items():
@@ -244,17 +244,16 @@ def _fit_nngp(train, cfg, seed):
 
 
 def _fit_quantum_fixed(train, cfg, seed):
-    spec = build_fixed_ansatz(train.dims)
-    kernel = QuantumKernel(spec)
-    pv = spec.default_params()
+    kernel = build_fixed_ansatz(train.dims)
+    pv = kernel.default_params()
     res = maximize_logl(kernel, pv, train.X, train.y, cfg.final_budget,
                         stable_seed(seed, "quantum-fixed"), cfg.sigma_n)
-    return kernel, pv.with_values(res.best_point), None, spec.to_json()
+    return kernel, pv.with_values(res.best_point), None, kernel.to_json()
 
 
 def _fit_quantum_variable(train, cfg, seed):
-    spec, params, trace = search_circuit(train, cfg, seed)
-    return QuantumKernel(spec), params, trace, spec.to_json()
+    kernel, params, trace = search_circuit(train, cfg, seed)
+    return kernel, params, trace, kernel.to_json()
 
 
 _FITTERS = {

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
                  TraceRow, beta, log_marginal_likelihood)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
-from .quantum import (Circuit, QuantumKernel, QubitLayer, apply_layers,
+from .quantum import (QuantumKernel, QubitLayer, apply_layers,
                       build_variable_ansatz, statevectors)
 
 __all__ = ["BeamState", "Candidate", "layer_pool", "search_moves", "extend",
@@ -132,16 +132,15 @@ class _ChildKernel(QuantumKernel):
         return self.training_states
 
 
-def _prefix_states(spec, pv, X):
-    """States of ``spec`` without its last two gate layers (a child's new
+def _prefix_states(kernel, pv, X):
+    """States of ``kernel`` without its last two layers (a child's new
     layer and R_Y^m): H^m and its parent's U_e."""
-    return statevectors(replace(spec, circuit=Circuit(
-        spec.m, spec.circuit.layers[:-2])), pv, X)
+    return statevectors(kernel.m, kernel.layers[:-2], pv, X)
 
 
-def _child_states(prefix, spec, pv, X):
-    """States of ``spec`` from a copy of its ``_prefix_states``."""
-    return apply_layers(prefix.copy(), spec.circuit.layers[-2:], pv, X)
+def _child_states(prefix, kernel, pv, X):
+    """States of ``kernel`` from a copy of its ``_prefix_states``."""
+    return apply_layers(prefix.copy(), kernel.layers[-2:], pv, X)
 
 
 def screen(candidates, data, cfg) -> BeamState:
@@ -159,12 +158,13 @@ def screen(candidates, data, cfg) -> BeamState:
     prefix_key = prefix = None
     for c in candidates:
         if not c.refined:
-            spec = build_variable_ansatz(X.shape[1], c.layers)
-            pv = spec.default_params().with_values(c.params)
-            parent = (spec.circuit.layers[:-2], c.params.tobytes())
+            circuit = build_variable_ansatz(X.shape[1], c.layers)
+            pv = circuit.default_params().with_values(c.params)
+            parent = (circuit.layers[:-2], c.params.tobytes())
             if parent != prefix_key:
-                prefix_key, prefix = parent, _prefix_states(spec, pv, X)
-            kernel = _ChildKernel(spec, _child_states(prefix, spec, pv, X))
+                prefix_key, prefix = parent, _prefix_states(circuit, pv, X)
+            kernel = _ChildKernel(circuit.m, circuit.layers, circuit.encoding,
+                                  _child_states(prefix, circuit, pv, X))
             try:
                 c.log_o = kernel.objective(log_marginal_likelihood(
                     kernel, pv, X, y, sigma_n=cfg.sigma_n))
@@ -184,7 +184,7 @@ def screen(candidates, data, cfg) -> BeamState:
 
 def _optimize(c: Candidate, data, budget, tag, cfg, seed):
     """Maximize the surrogate objective over ``c``'s scales from its params."""
-    kernel = QuantumKernel(build_variable_ansatz(data.X.shape[1], c.layers))
+    kernel = build_variable_ansatz(data.X.shape[1], c.layers)
     return maximize_logl(kernel, kernel.default_params().with_values(c.params),
                          data.X, data.y, budget,
                          stable_seed(seed, tag, canonical_layers(c.layers)),
@@ -207,7 +207,7 @@ def refine(beam: BeamState, data, cfg, seed) -> BeamState:
 
 
 def search_circuit(data, cfg, seed):
-    """Beam search over gate-layer sequences; returns (spec, params,
+    """Beam search over gate-layer sequences; returns (kernel, params,
     SearchTrace).
 
     It reads ``beam_width``, ``refine_budget``, ``final_budget``,
@@ -251,6 +251,6 @@ def search_circuit(data, cfg, seed):
     # final re-optimization of the winner at the larger budget
     values = _optimize(best, data, cfg.final_budget, "circuit-final", cfg,
                        seed).best_point
-    spec = build_variable_ansatz(m, best.layers)
-    return spec, spec.default_params().with_values(values), trace
+    kernel = build_variable_ansatz(m, best.layers)
+    return kernel, kernel.default_params().with_values(values), trace
 

@@ -18,9 +18,7 @@ import numpy as np
 from .gp import KernelFn, ParamVector, surrogate_objective
 
 __all__ = [
-    "GateOp",
-    "Circuit",
-    "QuantumKernelSpec",
+    "QubitLayer",
     "QuantumKernel",
     "zero_state",
     "apply_gate",
@@ -28,57 +26,43 @@ __all__ = [
     "apply_layers",
     "statevectors",
     "build_fixed_ansatz",
-    "QubitLayer",
     "build_variable_ansatz",
 ]
-
-GATE_KINDS = ("H", "RZ", "RY", "RZZ")
 
 # default bounds for the encoding scales theta_1..theta_m and Theta
 THETA_BOUNDS = (1e-2, 1e1)
 
+_ARITY = {"H": 1, "RZ": 1, "RY": 1, "RZZ": 2}  # qubits each gate kind acts on
+
 
 @dataclass(frozen=True)
-class GateOp:
-    """One gate: kind and target qubit(s); a rotation's angle is data-encoded."""
+class QubitLayer:
+    """One full layer of a single-qubit gate kind (H, R_Z or R_Y) on every qubit.
+
+    A circuit layer is either an R_ZZ matching, a tuple of (i, j) pairs, or
+    a QubitLayer. Iterating a layer yields its R_ZZ pairs, so a QubitLayer
+    yields none.
+    """
 
     kind: str
-    qubits: tuple
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
-            raise ValueError(f"unknown gate kind {self.kind!r}")
-        n = 2 if self.kind == "RZZ" else 1
-        if len(self.qubits) != n:
-            raise ValueError(f"{self.kind} takes {n} qubit index(es)")
-        if self.kind == "RZZ":
-            i, j = self.qubits
-            if i == j:
-                raise ValueError("RZZ qubits must be distinct")
-            if i > j:
-                raise ValueError("RZZ qubit pair must be ordered (i < j)")
+        if self.kind not in ("H", "RZ", "RY"):
+            raise ValueError(f"no single-qubit layer of kind {self.kind!r}")
+
+    def __iter__(self):
+        return iter(())
 
 
-@dataclass(frozen=True)
-class Circuit:
-    """Layered gate program; each qubit is touched at most once per layer."""
+_H = QubitLayer("H")
 
-    m: int
-    layers: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "layers",
-                           tuple(tuple(layer) for layer in self.layers))
-        for layer in self.layers:
-            seen = set()
-            for g in layer:
-                for q in g.qubits:
-                    if not 0 <= q < self.m:
-                        raise ValueError(f"qubit index {q} out of range for m={self.m}")
-                    if q in seen:
-                        raise ValueError(
-                            f"qubit {q} operated by more than one gate in a layer")
-                    seen.add(q)
+def _gates(layer, m):
+    """The (kind, qubits) of each gate of ``layer``, in application order:
+    qubits 0..m-1 of a QubitLayer, or the pairs of a matching as given."""
+    if isinstance(layer, QubitLayer):
+        return [(layer.kind, (q,)) for q in range(m)]
+    return [("RZZ", pair) for pair in layer]
 
 
 def zero_state(m, batch=None):
@@ -97,22 +81,27 @@ def _bit(m, q):
     return bit
 
 
-def apply_gate(state, gate: GateOp, angle=None):
+def apply_gate(state, kind, qubits, angle=None):
     """Apply one gate in place to amplitudes of shape (..., 2^m).
 
+    ``kind`` is H, RZ, RY or RZZ, acting on the qubit index(es) ``qubits``.
     ``angle`` may be a scalar or an array broadcasting over leading axes;
     it is ignored for H.
     """
-    dim = state.shape[-1]
-    m = dim.bit_length() - 1
-    for q in gate.qubits:
+    n = _ARITY.get(kind)
+    if n is None:
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if len(qubits) != n:
+        raise ValueError(f"{kind} takes {n} qubit index(es)")
+    m = state.shape[-1].bit_length() - 1
+    for q in qubits:
         if not 0 <= q < m:
             raise IndexError(f"qubit index {q} out of range for m={m}")
-    if gate.kind in ("RZ", "RZZ"):
-        if gate.kind == "RZ":
-            s = _bit(m, gate.qubits[0])
+    if kind in ("RZ", "RZZ"):
+        if kind == "RZ":
+            s = _bit(m, qubits[0])
         else:
-            i, j = gate.qubits
+            i, j = qubits
             s = _bit(m, i) ^ _bit(m, j)
         # the phase is exp(-i phi/2) where the Z eigenvalue product is +1 and
         # its conjugate where it is -1: one exponential per angle
@@ -120,12 +109,12 @@ def apply_gate(state, gate: GateOp, angle=None):
         state *= np.where(s == 0, e, e.conj())
         return state
     # H and RY mix amplitude pairs along the target-qubit axis
-    q = gate.qubits[0]
+    q = qubits[0]
     lead = state.shape[:-1]
     view = state.reshape(lead + (2 ** (m - 1 - q), 2, 2 ** q))
     a = view[..., 0, :].copy()
     b = view[..., 1, :]
-    if gate.kind == "H":
+    if kind == "H":
         r = 1.0 / math.sqrt(2.0)
         view[..., 0, :] = r * (a + b)
         view[..., 1, :] = r * (a - b)
@@ -138,25 +127,88 @@ def apply_gate(state, gate: GateOp, angle=None):
     return state
 
 
-@dataclass(frozen=True)
-class QuantumKernelSpec:
-    """A circuit plus the encoding rule defining a fidelity kernel.
+def encode(x, params: ParamVector, kind, qubits):
+    """Angle(s) for one encoded gate; ``x`` is a D-vector or (B, D) batch.
 
-    Trainable parameters are [theta_1 .. theta_m, Theta]: per-qubit scales
-    for the single-qubit rotation angles x_i / theta_i and one shared scale
-    for all R_ZZ angles exp(-(x_i - x_j)^2 / Theta). M = m + 1.
+    R_Y / R_Z on qubit i -> x_i / theta_i; R_ZZ on (i, j) ->
+    exp(-(x_i - x_j)^2 / Theta).
+    """
+    x = np.asarray(x, dtype=float)
+    v = params.values
+    if kind in ("RY", "RZ"):
+        i = qubits[0]
+        if i >= v.size - 1:
+            raise ValueError(f"no encoding scale for qubit {i}")
+        return x[..., i] / v[i]
+    if kind == "RZZ":
+        i, j = qubits
+        return np.exp(-((x[..., i] - x[..., j]) ** 2) / v[-1])
+    raise ValueError(f"gate kind {kind} carries no encoded angle")
+
+
+def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
+    """Apply circuit layers in place to states ``psi`` of shape (B, 2^m),
+    the encoded angles taken from the B rows of ``X``."""
+    m = psi.shape[-1].bit_length() - 1
+    for layer in layers:
+        for kind, qubits in _gates(layer, m):
+            angle = None if kind == "H" else encode(X, params, kind, qubits)
+            apply_gate(psi, kind, qubits, angle)
+    return psi
+
+
+def statevectors(m, layers, params: ParamVector, X) -> np.ndarray:
+    """Encoded states U(x)|0...0> of the m-qubit circuit ``layers`` for
+    each input row; shape (B, 2^m).
+
+    The leading H layers (H^m in both ansaetze) are simulated once on one
+    row, which is then repeated B times.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != m:
+        raise ValueError(f"input dimension {X.shape[1]} != qubit count m={m}")
+    k = next((i for i, layer in enumerate(layers) if layer != _H), len(layers))
+    head = apply_layers(zero_state(m, batch=1), layers[:k], params, X)
+    return apply_layers(np.repeat(head, X.shape[0], axis=0), layers[k:],
+                        params, X)
+
+
+@dataclass(frozen=True)
+class QuantumKernel(KernelFn):
+    """The fidelity kernel of an m-qubit circuit given as its layers.
+
+    Each layer is a QubitLayer or an R_ZZ matching: pairs (i, j) with
+    i < j, no qubit in two pairs. ``encoding`` ("fixed" or "variable")
+    names the ansatz in the winner file. Trainable parameters are
+    [theta_1 .. theta_m, Theta]: per-qubit scales for the single-qubit
+    rotation angles x_i / theta_i and one shared scale for all R_ZZ angles
+    exp(-(x_i - x_j)^2 / Theta). M = m + 1.
+
+    k(x, x') = |<psi(x)|psi(x')>|^2 = Tr rho(x) rho(x') is an inner product
+    of density matrices, so the kernel has the 4^m real features of rho.
+    Its Gram works from cached statevectors.
     """
 
-    circuit: Circuit
-    encoding: str  # "fixed" or "variable"
+    m: int
+    layers: tuple
+    encoding: str
 
     def __post_init__(self):
         if self.encoding not in ("fixed", "variable"):
             raise ValueError(f"unknown encoding {self.encoding!r}")
-
-    @property
-    def m(self):
-        return self.circuit.m
+        for layer in self.layers:
+            seen = set()
+            for i, j in layer:
+                if i >= j:
+                    raise ValueError(
+                        f"RZZ qubit pair {(i, j)} must be ordered (i < j)")
+                if i < 0 or j >= self.m:
+                    raise ValueError(
+                        f"RZZ qubit pair {(i, j)} out of range for m={self.m}")
+                if i in seen or j in seen:
+                    raise ValueError(
+                        f"a qubit of {(i, j)} is in two pairs of one layer")
+                seen.update((i, j))
 
     def default_params(self) -> ParamVector:
         m = self.m
@@ -168,84 +220,20 @@ class QuantumKernelSpec:
                            scales=("log",) * (m + 1))
 
     def to_json(self) -> str:
-        c = self.circuit
-        return json.dumps({"m": c.m,
-                           "layers": [[{"gate": g.kind, "qubits": list(g.qubits)}
-                                       for g in layer] for layer in c.layers],
+        """The winner-file form: every layer written out gate by gate."""
+        return json.dumps({"m": self.m,
+                           "layers": [[{"gate": kind, "qubits": list(qubits)}
+                                       for kind, qubits in _gates(layer, self.m)]
+                                      for layer in self.layers],
                            "encoding": self.encoding})
-
-
-def encode(x, params: ParamVector, gate: GateOp):
-    """Angle(s) for one encoded gate; ``x`` is a D-vector or (B, D) batch.
-
-    R_Y / R_Z on qubit i -> x_i / theta_i; R_ZZ on (i, j) ->
-    exp(-(x_i - x_j)^2 / Theta).
-    """
-    x = np.asarray(x, dtype=float)
-    v = params.values
-    if gate.kind in ("RY", "RZ"):
-        i = gate.qubits[0]
-        if i >= v.size - 1:
-            raise ValueError(f"no encoding scale for qubit {i}")
-        return x[..., i] / v[i]
-    if gate.kind == "RZZ":
-        i, j = gate.qubits
-        return np.exp(-((x[..., i] - x[..., j]) ** 2) / v[-1])
-    raise ValueError(f"gate kind {gate.kind} carries no encoded angle")
-
-
-def _gate_angle(gate, params, x):
-    if gate.kind == "H":
-        return None
-    return np.asarray(encode(x, params, gate), dtype=float)
-
-
-def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
-    """Apply gate layers in place to states ``psi`` of shape (B, 2^m), the
-    encoded angles taken from the B rows of ``X``."""
-    for layer in layers:
-        for gate in layer:
-            apply_gate(psi, gate, _gate_angle(gate, params, X))
-    return psi
-
-
-def statevectors(spec: QuantumKernelSpec, params: ParamVector, X) -> np.ndarray:
-    """Encoded states U(x)|0...0> for each input row; shape (B, 2^m).
-
-    The leading H gates (H^m in both ansaetze) are simulated once on one
-    row, which is then repeated B times.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != spec.m:
-        raise ValueError(
-            f"input dimension {X.shape[1]} != qubit count m={spec.m}")
-    gates = [g for layer in spec.circuit.layers for g in layer]
-    k = next((i for i, g in enumerate(gates) if g.kind != "H"), len(gates))
-    head = apply_layers(zero_state(spec.m, batch=1), [gates[:k]], params, X)
-    return apply_layers(np.repeat(head, X.shape[0], axis=0), [gates[k:]],
-                        params, X)
-
-
-@dataclass(frozen=True)
-class QuantumKernel(KernelFn):
-    """KernelFn view of a fidelity kernel; Gram via cached statevectors.
-
-    k(x, x') = |<psi(x)|psi(x')>|^2 = Tr rho(x) rho(x') is an inner product
-    of density matrices, so the kernel has the 4^m real features of rho.
-    """
-
-    spec: QuantumKernelSpec
-
-    def default_params(self) -> ParamVector:
-        return self.spec.default_params()
 
     def states(self, X, params: ParamVector) -> np.ndarray:
         """The encoded states of the rows of ``X``, from which ``gram`` works."""
-        return statevectors(self.spec, params, X)
+        return statevectors(self.m, self.layers, params, X)
 
     @property
     def n_features(self) -> int:
-        return 4 ** self.spec.m
+        return 4 ** self.m
 
     def features(self, X, params: ParamVector) -> np.ndarray:
         """Real coordinates of rho = |psi><psi| per row of ``X``, so that
@@ -280,20 +268,19 @@ class QuantumKernel(KernelFn):
 
 
 def _pair_layers(pairs):
-    """Greedy split of a pair list into layers with one gate per qubit."""
+    """Greedy split of a pair list into matchings, one gate per qubit."""
     layers = []
     for pair in pairs:
         for layer in layers:
-            used = {q for g in layer for q in g.qubits}
-            if pair[0] not in used and pair[1] not in used:
-                layer.append(GateOp("RZZ", pair))
+            if not set(pair) & {q for p in layer for q in p}:
+                layer.append(pair)
                 break
         else:
-            layers.append([GateOp("RZZ", pair)])
+            layers.append([pair])
     return [tuple(layer) for layer in layers]
 
 
-def build_fixed_ansatz(m) -> QuantumKernelSpec:
+def build_fixed_ansatz(m) -> QuantumKernel:
     """Fixed all-pairs ansatz U H^m U H^m with U = R_Z per qubit + R_ZZ per pair.
 
     The all-pairs R_ZZ block is split into commuting matching layers to
@@ -301,49 +288,16 @@ def build_fixed_ansatz(m) -> QuantumKernelSpec:
     """
     if m < 2:
         raise ValueError("fixed ansatz needs m >= 2")
-    h_layer = tuple(GateOp("H", (q,)) for q in range(m))
-    rz_layer = tuple(GateOp("RZ", (q,)) for q in range(m))
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    u_block = [rz_layer] + _pair_layers(pairs)
-    layers = [h_layer] + u_block + [h_layer] + u_block
-    return QuantumKernelSpec(circuit=Circuit(m=m, layers=tuple(layers)),
-                             encoding="fixed")
+    u_block = [QubitLayer("RZ")] + _pair_layers(pairs)
+    return QuantumKernel(m, tuple([_H] + u_block + [_H] + u_block), "fixed")
 
 
-@dataclass(frozen=True)
-class QubitLayer:
-    """One full layer of a single-qubit gate kind (H, R_Z or R_Y) on every qubit.
-
-    A variable-ansatz layer is either an R_ZZ matching, a tuple of (i, j)
-    pairs, or a QubitLayer. Iterating a layer yields its R_ZZ pairs, so a
-    QubitLayer yields none.
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("H", "RZ", "RY"):
-            raise ValueError(f"no single-qubit layer of kind {self.kind!r}")
-
-    def __iter__(self):
-        return iter(())
-
-
-def build_variable_ansatz(m, layers) -> QuantumKernelSpec:
+def build_variable_ansatz(m, layers) -> QuantumKernel:
     """Variable ansatz R_Y^m U_e H^m, with U_e given as a sequence of layers.
 
     Each layer is an R_ZZ matching or a QubitLayer. R_Z and R_Y layers are
     data-encoded with the same angles x_i / theta_i as the final R_Y layer,
     so the parameters stay [theta_1 .. theta_m, Theta] at any depth.
     """
-    h_layer = tuple(GateOp("H", (q,)) for q in range(m))
-    ry_layer = tuple(GateOp("RY", (q,)) for q in range(m))
-    gates = [h_layer]
-    for layer in layers:
-        if isinstance(layer, QubitLayer):
-            gates.append(tuple(GateOp(layer.kind, (q,)) for q in range(m)))
-        else:
-            gates.append(tuple(GateOp("RZZ", tuple(sorted(p))) for p in layer))
-    gates.append(ry_layer)
-    return QuantumKernelSpec(circuit=Circuit(m=m, layers=tuple(gates)),
-                             encoding="variable")
+    return QuantumKernel(m, (_H, *layers, QubitLayer("RY")), "variable")

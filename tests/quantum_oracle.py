@@ -7,47 +7,55 @@ prefix reused. Tests only; the library never imports it.
 
 import numpy as np
 
-from peskit.quantum import apply_gate, encode, zero_state
+from peskit.quantum import QubitLayer, apply_gate, encode, zero_state
 
 
-def _angle(gate, params, X):
-    if gate.kind == "H":
+def gates(kernel):
+    """Every gate of ``kernel`` as (kind, qubits), in application order."""
+    out = []
+    for layer in kernel.layers:
+        if isinstance(layer, QubitLayer):
+            out += [(layer.kind, (q,)) for q in range(kernel.m)]
+        else:
+            out += [("RZZ", tuple(pair)) for pair in layer]
+    return out
+
+
+def _angle(kind, qubits, params, X):
+    if kind == "H":
         return None
-    return np.asarray(encode(X, params, gate), dtype=float)
+    return np.asarray(encode(X, params, kind, qubits), dtype=float)
 
 
-def replay_states(spec, params, X):
+def replay_states(kernel, params, X):
     """Encoded states U(x)|0...0> for each row of ``X``; shape (B, 2^m)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    psi = zero_state(spec.m, batch=X.shape[0])
-    for layer in spec.circuit.layers:
-        for gate in layer:
-            apply_gate(psi, gate, _angle(gate, params, X))
+    psi = zero_state(kernel.m, batch=X.shape[0])
+    for kind, qubits in gates(kernel):
+        apply_gate(psi, kind, qubits, _angle(kind, qubits, params, X))
     return psi
 
 
-def statevector_for(spec, params, x):
+def statevector_for(kernel, params, x):
     """Encoded state for a single input vector."""
-    return replay_states(spec, params, np.atleast_2d(x))[0]
+    return replay_states(kernel, params, np.atleast_2d(x))[0]
 
 
-def fidelity_kernel(spec, params, x, xp):
+def fidelity_kernel(kernel, params, x, xp):
     """|<psi(x')|psi(x)>|^2 from the two statevectors."""
-    a = statevector_for(spec, params, x)
-    b = statevector_for(spec, params, xp)
+    a = statevector_for(kernel, params, x)
+    b = statevector_for(kernel, params, xp)
     return float(np.abs(np.vdot(b, a)) ** 2)
 
 
-def fidelity_via_adjoint(spec, params, x, xp):
+def fidelity_via_adjoint(kernel, params, x, xp):
     """Literal path: apply U(x), then the adjoint circuit of U(x'), read |<0|.>|^2."""
-    psi = zero_state(spec.m, batch=1)
+    psi = zero_state(kernel.m, batch=1)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Xp = np.atleast_2d(np.asarray(xp, dtype=float))
-    for layer in spec.circuit.layers:
-        for gate in layer:
-            apply_gate(psi, gate, _angle(gate, params, X))
-    for layer in reversed(spec.circuit.layers):
-        for gate in reversed(layer):
-            ang = _angle(gate, params, Xp)
-            apply_gate(psi, gate, None if ang is None else -ang)
+    for kind, qubits in gates(kernel):
+        apply_gate(psi, kind, qubits, _angle(kind, qubits, params, X))
+    for kind, qubits in reversed(gates(kernel)):
+        ang = _angle(kind, qubits, params, Xp)
+        apply_gate(psi, kind, qubits, None if ang is None else -ang)
     return float(np.abs(psi[0, 0]) ** 2)

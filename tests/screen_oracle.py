@@ -12,7 +12,7 @@ from peskit.circuit_search import canonical_layers
 from peskit.gp import (KernelEvaluationError, NotPositiveDefiniteError, beta,
                        log_marginal_likelihood)
 from peskit.optimizer import SENTINEL
-from peskit.quantum import QuantumKernel, build_variable_ansatz
+from peskit.quantum import build_variable_ansatz
 
 
 def involution_count(n):
@@ -31,7 +31,7 @@ def screen_scores(candidates, data, cfg):
     for c in candidates:
         if c.refined:
             continue
-        kernel = QuantumKernel(build_variable_ansatz(X.shape[1], c.layers))
+        kernel = build_variable_ansatz(X.shape[1], c.layers)
         try:
             log_o = kernel.objective(log_marginal_likelihood(
                 kernel, kernel.default_params().with_values(c.params), X, y,

@@ -10,5 +10,5 @@ from peskit.bench import ExperimentConfig
 
 def search_config(**settings):
     """An ``ExperimentConfig`` holding ``settings`` and the other defaults."""
-    return ExperimentConfig(dataset={"kind": "synthetic"}, families=[],
+    return ExperimentConfig(dataset={"kind": "synthetic"}, families=["rbf"],
                             seeds=[0], **settings)

@@ -27,9 +27,8 @@ from peskit.kernel_search import search_classical
 from peskit.kernels import ClassicalKernel, Sum, new_leaf, param_vector
 from peskit.nngp import NNGPKernel
 from peskit.optimizer import SearchSpace, maximize, stable_seed
-from peskit.quantum import (GateOp, QuantumKernel, QubitLayer, apply_gate,
-                            build_fixed_ansatz, build_variable_ansatz,
-                            zero_state)
+from peskit.quantum import (QubitLayer, apply_gate, build_fixed_ansatz,
+                            build_variable_ansatz, zero_state)
 from quantum_oracle import fidelity_kernel, fidelity_via_adjoint
 from screen_oracle import involution_count
 from search_config import search_config
@@ -46,23 +45,22 @@ def _embed(op, m, q):
     return np.kron(np.kron(np.eye(2 ** (m - 1 - q)), op), np.eye(2 ** q))
 
 
-def _dense_gate(gate, m, angle=None):
-    if gate.kind == "H":
-        return _embed(_H, m, gate.qubits[0])
-    if gate.kind == "RY":
-        return expm(-0.5j * angle * _embed(_Y, m, gate.qubits[0]))
-    if gate.kind == "RZ":
-        return expm(-0.5j * angle * _embed(_Z, m, gate.qubits[0]))
-    i, j = gate.qubits
+def _dense_gate(kind, qubits, m, angle=None):
+    if kind == "H":
+        return _embed(_H, m, qubits[0])
+    if kind == "RY":
+        return expm(-0.5j * angle * _embed(_Y, m, qubits[0]))
+    if kind == "RZ":
+        return expm(-0.5j * angle * _embed(_Z, m, qubits[0]))
+    i, j = qubits
     return expm(-0.5j * angle * (_embed(_Z, m, i) @ _embed(_Z, m, j)))
 
 
-def _random_gate(m):
-    kind = ("H", "RZ", "RY", "RZZ")[rng.integers(4)]
+def _random_qubits(kind, m):
     if kind == "RZZ":
         i, j = sorted(rng.choice(m, size=2, replace=False))
-        return GateOp(kind, (int(i), int(j)))
-    return GateOp(kind, (int(rng.integers(m)),))
+        return (int(i), int(j))
+    return (int(rng.integers(m)),)
 
 
 # ---------------------------------------------------------------------------
@@ -73,20 +71,18 @@ def test_gate_updates_match_dense_oracles_and_preserve_norm():
     m = 3
     for kind in ("H", "RZ", "RY", "RZZ"):
         for _ in range(20):
-            if kind == "RZZ":
-                i, j = sorted(rng.choice(m, size=2, replace=False))
-                gate = GateOp(kind, (int(i), int(j)))
-            else:
-                gate = GateOp(kind, (int(rng.integers(m)),))
+            qubits = _random_qubits(kind, m)
             angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
             psi /= np.linalg.norm(psi)
-            got = apply_gate(psi.copy(), gate, angle)
-            want = _dense_gate(gate, m, angle) @ psi
+            got = apply_gate(psi.copy(), kind, qubits, angle)
+            want = _dense_gate(kind, qubits, m, angle) @ psi
             assert np.max(np.abs(got - want)) <= 1e-12
     psi = zero_state(m)
     for _ in range(10_000):
-        apply_gate(psi, _random_gate(m), float(rng.uniform(-math.pi, math.pi)))
+        kind = ("H", "RZ", "RY", "RZZ")[rng.integers(4)]
+        apply_gate(psi, kind, _random_qubits(kind, m),
+                   float(rng.uniform(-math.pi, math.pi)))
     assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
     assert time.perf_counter() - t0 < 5.0
 
@@ -96,15 +92,15 @@ def test_gate_updates_match_dense_oracles_and_preserve_norm():
 
 def test_fidelity_kernel_identities():
     t0 = time.perf_counter()
-    spec = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
-    pv = spec.default_params()
+    kernel = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
+    pv = kernel.default_params()
     X = rng.uniform(0, 1, (8, 3))
     for x in X:
-        assert abs(fidelity_kernel(spec, pv, x, x) - 1.0) <= 1e-12
+        assert abs(fidelity_kernel(kernel, pv, x, x) - 1.0) <= 1e-12
     for i in range(4):
         for j in range(4, 8):
-            kij = fidelity_kernel(spec, pv, X[i], X[j])
-            assert kij == fidelity_kernel(spec, pv, X[j], X[i])
+            kij = fidelity_kernel(kernel, pv, X[i], X[j])
+            assert kij == fidelity_kernel(kernel, pv, X[j], X[i])
 
     # cached-statevector path vs literal apply-U(x)-then-adjoint-U(x') path
     for _ in range(10):
@@ -112,21 +108,21 @@ def test_fidelity_kernel_identities():
         pool = layer_pool(m)
         layers = tuple(pool[rng.integers(len(pool))]
                        for _ in range(rng.integers(0, 3)))
-        spec = build_variable_ansatz(m, layers)
-        pv = spec.default_params().with_values(rng.uniform(0.1, 5.0, m + 1))
+        kernel = build_variable_ansatz(m, layers)
+        pv = kernel.default_params().with_values(rng.uniform(0.1, 5.0, m + 1))
         x, xp = rng.uniform(0, 1, m), rng.uniform(0, 1, m)
-        a = fidelity_kernel(spec, pv, x, xp)
-        b = fidelity_via_adjoint(spec, pv, x, xp)
+        a = fidelity_kernel(kernel, pv, x, xp)
+        b = fidelity_via_adjoint(kernel, pv, x, xp)
         assert abs(a - b) <= 1e-12
 
     # single qubit, no entangling block: k(x, x') = cos^2((x - x') / 2 theta)
-    spec1 = build_variable_ansatz(1, ())
+    kernel1 = build_variable_ansatz(1, ())
     theta = 0.7
-    pv1 = spec1.default_params().with_values([theta, 1.0])
+    pv1 = kernel1.default_params().with_values([theta, 1.0])
     for _ in range(100):
         x, xp = rng.uniform(0, 2, 2)
         want = math.cos((x - xp) / (2 * theta)) ** 2
-        assert abs(fidelity_kernel(spec1, pv1, [x], [xp]) - want) <= 1e-10
+        assert abs(fidelity_kernel(kernel1, pv1, [x], [xp]) - want) <= 1e-10
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -138,11 +134,11 @@ def _families():
     cpv = param_vector(comp).with_values([1.0, 2.0, 0.5, 0.5])
     nngp = NNGPKernel(depth=2)
     npv = nngp.default_params().with_values([3.0, 0.5, 2.0, 0.3, 2.0, 0.3])
-    spec = build_fixed_ansatz(3)
-    qpv = spec.default_params()
+    quantum = build_fixed_ansatz(3)
+    qpv = quantum.default_params()
     return [("composite", ClassicalKernel(expr=comp), cpv),
             ("nngp", nngp, npv),
-            ("quantum", QuantumKernel(spec), qpv)]
+            ("quantum", quantum, qpv)]
 
 
 def test_training_points_reproduced_by_all_families():
@@ -195,9 +191,9 @@ def test_beam_search_equals_exhaustive_oracle():
     X, N, MP = data.X, 100, 4
 
     def log_o(layers, v):
-        spec = build_variable_ansatz(3, layers)
-        L = log_marginal_likelihood(QuantumKernel(spec),
-                                    spec.default_params().with_values(v),
+        kernel = build_variable_ansatz(3, layers)
+        L = log_marginal_likelihood(kernel,
+                                    kernel.default_params().with_values(v),
                                     X, ys, sigma_n=SN)
         return surrogate_objective(L)
 
@@ -231,13 +227,11 @@ def test_beam_search_equals_exhaustive_oracle():
 
     cfg = search_config(beam_width=len(moves), refine_budget=REFINE,
                         final_budget=FINAL, max_depth=2, sigma_n=SN)
-    spec, params, _ = search_circuit(replace(data, y=ys), cfg, SEED)
-    # rebuild the appended layers between the leading H and final R_Y layers
-    search_layers = tuple(
-        tuple(g.qubits for g in layer) if layer[0].kind == "RZZ"
-        else QubitLayer(layer[0].kind) for layer in spec.circuit.layers[1:-1])
+    kernel, params, _ = search_circuit(replace(data, y=ys), cfg, SEED)
+    # the appended layers between the leading H and final R_Y layers
+    search_layers = kernel.layers[1:-1]
     search_beta = beta(log_o(search_layers, params.values), MP, N)
-    assert spec == build_variable_ansatz(3, best_layers)
+    assert kernel == build_variable_ansatz(3, best_layers)
     assert np.array_equal(params.values, fp)
     assert search_beta == oracle_beta
     assert time.perf_counter() - t0 < 600.0
@@ -337,35 +331,34 @@ def circuit_benchmark_medians():
         train, test = data.subset(split.train), data.subset(split.test)
         ys, mean, scale = standardize(train.y)
 
-        def log_o(spec, v):
-            L = log_marginal_likelihood(QuantumKernel(spec),
-                                        spec.default_params().with_values(v),
+        def log_o(kernel, v):
+            L = log_marginal_likelihood(kernel,
+                                        kernel.default_params().with_values(v),
                                         train.X, ys, sigma_n=SIGMA_N)
             return surrogate_objective(L)
 
-        def holdout(spec, values):
-            gp = fit(QuantumKernel(spec),
-                     spec.default_params().with_values(values),
+        def holdout(kernel, values):
+            gp = fit(kernel, kernel.default_params().with_values(values),
                      train.X, ys, sigma_n=SIGMA_N, jitter=1e-10)
             return rmse(mean + scale * predict(gp, test.X), test.y)
 
-        def optimize_spec(spec, tag):
-            pv = spec.default_params()
-            res = maximize(lambda v: log_o(spec, v),
+        def optimize_kernel(kernel, tag):
+            pv = kernel.default_params()
+            res = maximize(lambda v: log_o(kernel, v),
                            SearchSpace.from_params(pv), 200,
                            seed=stable_seed(seed, tag), warm_start=pv.values)
             return np.asarray(res.best_point, float)
 
         zero = build_variable_ansatz(3, ())
-        d0.append(holdout(zero, optimize_spec(zero, "d0")))
+        d0.append(holdout(zero, optimize_kernel(zero, "d0")))
 
         cfg = search_config(beam_width=9, refine_budget=40, final_budget=200,
                             max_depth=8, sigma_n=SIGMA_N)
-        spec, params, _ = search_circuit(replace(train, y=ys), cfg, seed)
-        conv.append(holdout(spec, params.values))
+        kernel, params, _ = search_circuit(replace(train, y=ys), cfg, seed)
+        conv.append(holdout(kernel, params.values))
 
         fixed = build_fixed_ansatz(3)
-        fx.append(holdout(fixed, optimize_spec(fixed, "fx")))
+        fx.append(holdout(fixed, optimize_kernel(fixed, "fx")))
     return (float(np.median(d0)), float(np.median(conv)),
             float(np.median(fx)))
 

@@ -284,6 +284,12 @@ def test_cli_config_error_exit_code(tmp_path):
     ("bench-interp", "dataset", {"kind": "synthetic", "dims": "3"}),
     ("bench-interp", "dataset", {"kind": "synthetic", "pes": "foo"}),
     ("bench-extrap", "dataset", {"kind": "csv", "path": "pes.csv", "a": 0}),
+    # an empty list would run no cell, or fail as a compute error
+    ("bench-interp", "families", []),
+    ("bench-interp", "n_train", []),
+    ("search-classical", "families", []),
+    ("bench-extrap", "thresholds", []),
+    ("bench-interp", "seeds", []),
 ])
 def test_cli_rejects_bad_sizes_thresholds_and_seeds(tmp_path, capsys,
                                                      command, key, bad):

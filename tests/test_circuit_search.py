@@ -128,13 +128,13 @@ def test_prefix_built_child_states_equal_full_simulation(m):
             np.random.default_rng(len(parent)).uniform(0.2, 4.0, m + 1))
         prefix = None
         for move in search_moves(m):
-            spec = build_variable_ansatz(m, parent + (move,))
+            kernel = build_variable_ansatz(m, parent + (move,))
             if prefix is None:
-                prefix = _prefix_states(spec, pv, X)
-            assert np.array_equal(_child_states(prefix, spec, pv, X),
-                                  statevectors(spec, pv, X))
+                prefix = _prefix_states(kernel, pv, X)
+            assert np.array_equal(_child_states(prefix, kernel, pv, X),
+                                  statevectors(m, kernel.layers, pv, X))
         # building the children left the shared prefix as it was
-        assert np.array_equal(prefix, _prefix_states(spec, pv, X))
+        assert np.array_equal(prefix, _prefix_states(kernel, pv, X))
 
 
 def test_screen_scores_equal_per_candidate_oracle():
@@ -164,11 +164,11 @@ def test_screen_scores_equal_per_candidate_oracle():
 
 def _poison_layers(monkeypatch, layers, exc):
     """Make circuit_search's logL raise ``exc`` for one layer sequence."""
-    poisoned = build_variable_ansatz(3, layers)
+    poisoned = build_variable_ansatz(3, layers).layers
     real = circuit_search.log_marginal_likelihood
 
     def log_marginal_likelihood(kernel, *args, **kwargs):
-        if kernel.spec == poisoned:
+        if kernel.layers == poisoned:
             raise exc
         return real(kernel, *args, **kwargs)
 
@@ -262,9 +262,10 @@ def test_search_trace_monotone_and_winner_beats_baseline():
 
 def test_search_winner_respects_layer_constraint():
     data = _search_data(50, seed=2)
-    spec, _, _ = search_circuit(data, _quick_cfg(2), 2)
-    for layer in spec.circuit.layers:
-        qubits = [q for g in layer for q in g.qubits]
+    kernel, _, _ = search_circuit(data, _quick_cfg(2), 2)
+    assert kernel == build_variable_ansatz(3, kernel.layers[1:-1])
+    for layer in kernel.layers:
+        qubits = [q for pair in layer for q in pair]
         assert len(qubits) == len(set(qubits))
 
 

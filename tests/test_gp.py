@@ -243,7 +243,7 @@ def _oracle_gram(kernel, params, X):
     if isinstance(kernel, NNGPKernel):
         return _oracle_gram_nngp(kernel.depth, params.values, X)
     if isinstance(kernel, QuantumKernel):
-        V = statevectors(kernel.spec, params, X)
+        V = statevectors(kernel.m, kernel.layers, params, X)
         return np.abs(V @ V.conj().T) ** 2
     return kernel.gram(X, X, params)
 
@@ -295,7 +295,7 @@ def _nngp_depth2():
 
 
 def _quantum_fixed():
-    kernel = QuantumKernel(build_fixed_ansatz(3))
+    kernel = build_fixed_ansatz(3)
     return kernel, kernel.default_params()
 
 
@@ -404,21 +404,26 @@ def test_nngp_arcsin_check_sees_later_blocks(monkeypatch):
         build_kernel_matrix(kernel, pv, X)
 
 
+def _child_kernel(kernel, pv, X):
+    """The kernel ``screen`` scores for ``kernel`` as a child on ``X``."""
+    states = _child_states(_prefix_states(kernel, pv, X), kernel, pv, X)
+    return _ChildKernel(kernel.m, kernel.layers, kernel.encoding, states)
+
+
 def test_quantum_nxn_fit_above_block_size_is_whole():
     # m = 5, N = 300: 4^5 > N keeps the N x N path, with N > _GRAM_BLOCK.
     # A child kernel's states ignore X, so it must never get a row block.
     assert 300 > B
     m, n = 5, 300
-    spec = build_variable_ansatz(m, (((0, 1), (2, 3)), QubitLayer("RZ")))
-    pv = spec.default_params().with_values(
+    kernel = build_variable_ansatz(m, (((0, 1), (2, 3)), QubitLayer("RZ")))
+    pv = kernel.default_params().with_values(
         np.random.default_rng(2).uniform(0.5, 3.0, m + 1))
     rng = np.random.default_rng(12)
     X = rng.uniform(-1.0, 1.0, (n, m))
     y = rng.standard_normal(n)
-    child = _ChildKernel(spec, _child_states(_prefix_states(spec, pv, X),
-                                             spec, pv, X))
+    child = _child_kernel(kernel, pv, X)
     got = fit(child, pv, X, y, sigma_n=0.1)
-    want = fit(QuantumKernel(spec), pv, X, y, sigma_n=0.1)
+    want = fit(kernel, pv, X, y, sigma_n=0.1)
     assert np.array_equal(got.alpha, want.alpha)
     assert got.logL == want.logL
     init = build_variable_ansatz(m, ()).default_params().values
@@ -540,8 +545,7 @@ def _quantum_kernels(m):
     pairs = tuple((i, i + 1) for i in range(0, m - 1, 2))
     variable = build_variable_ansatz(
         m, (pairs, QubitLayer("RZ"), ((0, m - 1),)))
-    for spec in (build_fixed_ansatz(m), variable):
-        kernel = QuantumKernel(spec)
+    for kernel in (build_fixed_ansatz(m), variable):
         yield kernel, kernel.default_params().with_values(
             np.random.default_rng(m).uniform(0.5, 3.0, m + 1))
 
@@ -591,17 +595,15 @@ def test_quantum_features_reproduce_the_gram():
 def test_screen_child_kernel_fits_as_plain_kernel(monkeypatch):
     calls = _count_feature_calls(monkeypatch)
     m, n = 3, 120
-    spec = build_variable_ansatz(m, (((0, 1),), QubitLayer("RZ")))
-    pv = spec.default_params().with_values([0.7, 1.9, 3.1, 0.4])
+    kernel = build_variable_ansatz(m, (((0, 1),), QubitLayer("RZ")))
+    pv = kernel.default_params().with_values([0.7, 1.9, 3.1, 0.4])
     rng = np.random.default_rng(9)
     X = rng.uniform(-1.0, 1.0, (n, m))
     y = rng.standard_normal(n)
-    child = _ChildKernel(spec, _child_states(_prefix_states(spec, pv, X),
-                                             spec, pv, X))
-    got = log_marginal_likelihood(child, pv, X, y, sigma_n=0.05)
+    got = log_marginal_likelihood(_child_kernel(kernel, pv, X), pv, X, y,
+                                  sigma_n=0.05)
     assert calls == [n]  # weight space, through the child's own states
-    assert got == log_marginal_likelihood(QuantumKernel(spec), pv, X, y,
-                                          sigma_n=0.05)
+    assert got == log_marginal_likelihood(kernel, pv, X, y, sigma_n=0.05)
 
 
 @pytest.mark.parametrize("n", [40, 100])  # N x N at 40 < 64, weight space at 100
@@ -643,7 +645,7 @@ def test_nxn_path_never_builds_features(monkeypatch):
     calls = _count_feature_calls(monkeypatch)
     rng = np.random.default_rng(11)
     # circuit-beam's shape: 4^5 = 1024 features against N = 150
-    kernel = QuantumKernel(build_fixed_ansatz(5))
+    kernel = build_fixed_ansatz(5)
     X5 = rng.uniform(-1.0, 1.0, (150, 5))
     y5 = rng.standard_normal(150)
     fit(kernel, kernel.default_params(), X5, y5, sigma_n=0.05)

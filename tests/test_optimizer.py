@@ -14,7 +14,7 @@ from peskit.optimizer import (_LENGTHSCALES, SENTINEL, OptResult, SearchSpace,
                               _cholesky_each, _expected_improvement, _matern52,
                               _surrogate_fit, maximize, maximize_logl,
                               stable_seed)
-from peskit.quantum import QuantumKernel, build_variable_ansatz
+from peskit.quantum import build_variable_ansatz
 
 
 def _space(dim=2, lo=0.0, hi=1.0):
@@ -352,8 +352,8 @@ def test_maximize_logl_equals_hand_written_rbf_objective():
 
 def test_maximize_logl_equals_hand_written_quantum_objective():
     X, y = _fit_data()
-    spec = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
-    kernel, pv = QuantumKernel(spec), spec.default_params()
+    kernel = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
+    pv = kernel.default_params()
     start = pv.values * np.linspace(0.5, 2.0, pv.size)
 
     def objective(v):

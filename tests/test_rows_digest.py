@@ -7,7 +7,8 @@ TOOL = Path(__file__).resolve().parent.parent / "tools" / "rows_digest.py"
 
 TINY = {"dataset": {"kind": "synthetic", "dims": 3, "n_points": 80, "seed": 0,
                     "pes": "coupled-morse"},
-        "families": ["rbf", "quantum-variable"], "seeds": [0], "n_train": [30],
+        "families": ["rbf", "quantum-fixed", "quantum-variable"], "seeds": [0],
+        "n_train": [30],
         "classical_budget": 8, "refine_budget": 6, "final_budget": 8,
         "beam_width": 2, "max_depth": 2, "sigma_n": 0.1, "threads": 1}
 
@@ -23,8 +24,8 @@ def test_rows_digest_is_identical_across_runs(tmp_path):
     first = _digest(config)
     assert first == _digest(config)
     lines = first.splitlines()
-    assert sum(line.startswith("row ") for line in lines) == 2
+    assert sum(line.startswith("row ") for line in lines) == 3
     assert any(line.startswith("trace_quantum-variable_30_0 ") for line in lines)
     assert [line.split()[1] for line in lines if line.startswith("winner ")] \
-        == ["quantum-variable", "rbf"]
+        == ["quantum-fixed", "quantum-variable", "rbf"]
     assert "wall_time" not in first and "0x1." in first

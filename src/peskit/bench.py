@@ -123,6 +123,11 @@ class ExperimentConfig:
                               "in (0, 1)")
         if not all(_is_int(s) for s in self.seeds):
             raise ConfigError("each entry of seeds must be an integer")
+        for key in ("families", "seeds", "n_train", "thresholds"):
+            values = getattr(self, key)
+            repeats = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeats:  # a repeated cell would rerun and overwrite its files
+                raise ConfigError(f"{key} lists {repeats[0]!r} twice")
         if not (_is_number(self.sigma_n) and math.isfinite(self.sigma_n)
                 and self.sigma_n >= 0):
             raise ConfigError("sigma_n must be a finite number >= 0")

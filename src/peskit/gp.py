@@ -12,13 +12,12 @@ weight vector up to round-off.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dpotrf, dtrtrs
 
 __all__ = [
     "ParamVector",
@@ -242,52 +241,16 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     return K
 
 
-def _numpy_potrf():
-    """numpy's own LAPACK ``dpotrf``, the routine ``np.linalg.cholesky``
-    calls, or None when numpy is not built on the ILP64 scipy-openblas.
-
-    The symbol is looked up through numpy's linalg extension, whose
-    dependencies include the OpenBLAS numpy bundles; its integer arguments
-    are 64-bit. ctypes releases the GIL during the call.
-    """
-    try:
-        from numpy.linalg import _umath_linalg
-        potrf = ctypes.CDLL(_umath_linalg.__file__).scipy_dpotrf_64_
-    except (ImportError, OSError, AttributeError):
-        return None
-    int_p = ctypes.POINTER(ctypes.c_int64)
-    potrf.argtypes = (ctypes.c_char_p, int_p, ctypes.c_void_p, int_p, int_p)
-    potrf.restype = None
-    return potrf
-
-
-_potrf = _numpy_potrf()
-
-
-def _factor_in_place(A):
-    """``dpotrf('L')`` of the column-major view of a C-contiguous float64
-    square A, the matrix ``np.linalg.cholesky(A.T)`` hands LAPACK: reads
-    A's upper triangle and writes L^T there. Returns LAPACK's ``info``."""
-    n = ctypes.c_int64(A.shape[0])
-    info = ctypes.c_int64()
-    _potrf(b"L", ctypes.byref(n), A.ctypes.data, ctypes.byref(n),
-           ctypes.byref(info))
-    if info.value < 0:
-        raise ValueError(f"illegal value in argument {-info.value} of potrf")
-    return info.value
-
-
 def _cholesky_with_jitter(A, jitter):
     """Cholesky of A + j*I, escalating j by 10x up to JITTER_CAP on failure.
 
     A must be exactly symmetric. It is factored in its own memory by
-    numpy's own LAPACK ``dpotrf`` (see ``_numpy_potrf``), which reads and
-    overwrites its upper triangle; A is then mirrored, and its lower
-    triangle is the factor ``np.linalg.cholesky(A.T)`` gives, bit for bit.
-    The returned array is A, or a C-contiguous float64 copy of it when A
-    is not one. Each failed attempt restores the upper triangle from the
-    untouched strict lower one. Without that routine, A is factored by
-    ``np.linalg.cholesky(A.T)`` into a new array.
+    scipy's LAPACK ``dpotrf('L')`` of the column-major view ``A.T``, which
+    reads and overwrites A's upper triangle; A is then mirrored, and its
+    lower triangle is the factor ``scipy.linalg.cholesky(A, lower=True)``
+    gives, bit for bit. The returned array is A, or a C-contiguous float64
+    copy of it when A is not one. Each failed attempt restores the upper
+    triangle from the untouched strict lower one.
 
     Each attempt sets A's diagonal to d + j in place, d being the diagonal
     on entry, so jitters never accumulate. At the cap the diagonal is
@@ -301,18 +264,17 @@ def _cholesky_with_jitter(A, jitter):
     while True:
         if j > 0:
             A.flat[::n + 1] = d + j
-        if _potrf is None:
-            try:
-                return np.linalg.cholesky(A.T), j
-            except np.linalg.LinAlgError:
-                pass
-        elif _factor_in_place(A) == 0:
+        # A.T is F-contiguous, so f2py hands LAPACK A's own memory; clean=0
+        # leaves A's strict lower triangle, the copy a restore reads, alone
+        _, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info == 0:
             for i0, i1 in _row_blocks(n):
                 _mirror(A, i0, i1)
             return A, j
-        else:  # restore the upper triangle from the untouched lower one
-            for i0, i1 in _row_blocks(n):
-                _mirror(A.T, i0, i1)
+        for i0, i1 in _row_blocks(n):  # restore the upper triangle
+            _mirror(A.T, i0, i1)
         nxt = DEFAULT_JITTER if j == 0 else j * 10.0
         if nxt > JITTER_CAP:
             A.flat[::n + 1] = d
@@ -357,7 +319,7 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     The log marginal likelihood -1/2 y^T A^-1 y - 1/2 log|A| - N/2 log 2pi
     comes from the same factor (Rasmussen & Williams 2006, Alg. 2.1). The
     Gram is assembled once, its diagonal shifted in place, and factored in
-    its own memory by numpy's LAPACK ``dpotrf`` (``_cholesky_with_jitter``).
+    its own memory by scipy's LAPACK ``dpotrf`` (``_cholesky_with_jitter``).
 
     A kernel with ``n_features`` r < N is fitted in weight space when
     sigma_n > 0 (see ``_fit_weight_space``); its features are only built

@@ -290,6 +290,11 @@ def test_cli_config_error_exit_code(tmp_path):
     ("search-classical", "families", []),
     ("bench-extrap", "thresholds", []),
     ("bench-interp", "seeds", []),
+    # a repeated entry would run one cell twice and write its files twice
+    ("bench-interp", "families", ["rbf", "rbf"]),
+    ("bench-interp", "seeds", [0, 0]),
+    ("bench-interp", "n_train", [40, 40]),
+    ("bench-extrap", "thresholds", [0.5, 0.5]),
 ])
 def test_cli_rejects_bad_sizes_thresholds_and_seeds(tmp_path, capsys,
                                                      command, key, bad):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -44,20 +45,46 @@ _CONFIG = {
 }
 
 
-def _openblas():
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
+# the thread-count getters a bundled OpenBLAS may export: the scipy-openblas
+# wheels' ILP64 (numpy 2) and LP64 (scipy) names, then plain OpenBLAS's
+_GETTERS = ("scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+def _bundled_openblas(package):
+    """The OpenBLAS bundled in the ``<package>.libs`` folder, or None."""
+    libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
     found = sorted(libs.glob("*openblas*"))
-    if not found:
+    return ctypes.CDLL(str(found[0])) if found else None
+
+
+def _openblas():
+    lib = _bundled_openblas(np)
+    if lib is None:
         pytest.skip("numpy is not linked against a bundled OpenBLAS")
-    return ctypes.CDLL(str(found[0]))
+    return lib
 
 
 def test_loaded_openblas_uses_the_pinned_thread_count():
     # conftest.py pins the count before numpy loads; a plugin that imported
-    # numpy first would leave OpenBLAS at its default, one thread per core
-    get = _openblas().scipy_openblas_get_num_threads64_
-    get.argtypes, get.restype = [], ctypes.c_int
-    assert get() == int(os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    # numpy first would leave OpenBLAS at its default, one thread per core.
+    # numpy's copy runs the Grams' products, scipy's the factor and solves.
+    want = int(os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    checked = []
+    for package in (np, scipy):
+        lib = _bundled_openblas(package)
+        name = next((g for g in _GETTERS if hasattr(lib, g)), None)
+        if name is None:
+            continue
+        get = getattr(lib, name)
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == want, f"{package.__name__}'s OpenBLAS"
+        checked.append(package.__name__)
+    if len(checked) < 2:
+        missing = [p for p in ("numpy", "scipy") if p not in checked]
+        pytest.skip(f"no thread-count getter in {' or '.join(missing)}'s "
+                    "bundled OpenBLAS")
 
 
 def _run_child(threads):

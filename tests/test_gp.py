@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from peskit.circuit_search import (Candidate, _ChildKernel, _child_states,
@@ -12,7 +12,7 @@ from peskit.data import Dataset
 from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
                        KernelEvaluationError, KernelFn,
                        NotPositiveDefiniteError, ParamVector,
-                       _cholesky_with_jitter, _potrf, _solve_lower,
+                       _cholesky_with_jitter, _solve_lower,
                        _solve_lower_t, beta, bic,
                        build_kernel_matrix, fit, log_marginal_likelihood,
                        predict, rmse, surrogate_objective)
@@ -258,7 +258,10 @@ def _oracle_fit(kernel, params, X, y, sigma_n, jitter=DEFAULT_JITTER):
     j = jitter
     while True:
         try:
-            L = np.linalg.cholesky(A + j * np.eye(n) if j > 0 else A)
+            # C order, as gp's factor: a Fortran-ordered L would send
+            # solve_triangular down another LAPACK variant
+            L = np.ascontiguousarray(
+                cholesky(A + j * np.eye(n) if j > 0 else A, lower=True))
             break
         except np.linalg.LinAlgError:
             j = DEFAULT_JITTER if j == 0 else j * 10.0
@@ -435,7 +438,7 @@ def test_quantum_nxn_fit_above_block_size_is_whole():
 
 
 # ---------------------------------------------------------------------------
-# the in-place factor: numpy's own dpotrf in the Gram's memory
+# the in-place factor: scipy's LAPACK dpotrf in the Gram's memory
 
 def _spd(n):
     G = np.random.default_rng(n).standard_normal((n, n))
@@ -453,10 +456,10 @@ def _weight_space_matrix():
 
 
 @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B + 3, 1000, None])
-def test_in_place_factor_is_numpys_cholesky(n):
+def test_in_place_factor_is_scipys_cholesky(n):
     # None: the weight-space matrix C of a 3-qubit fit, r = 64
     A = _weight_space_matrix() if n is None else _spd(n)
-    want = np.linalg.cholesky(A.T)
+    want = cholesky(A, lower=True)
     got, jitter = _cholesky_with_jitter(A.copy(), 0.0)
     assert jitter == 0.0
     assert np.array_equal(np.tril(got), want)
@@ -480,9 +483,7 @@ class _Spectrum(KernelFn):
         return self.G[np.ix_(X[:, 0].astype(int), X2[:, 0].astype(int))]
 
 
-@pytest.mark.parametrize("potrf", [_potrf, None], ids=["potrf", "fallback"])
-def test_failed_factor_restores_the_matrix_across_blocks(monkeypatch, potrf):
-    monkeypatch.setattr("peskit.gp._potrf", potrf)
+def test_failed_factor_restores_the_matrix_across_blocks():
     n = 300
     assert n > 2 * B
     X = np.arange(n, dtype=float)[:, None]
@@ -518,24 +519,6 @@ def test_gram_in_any_layout_is_factored(layout):
     assert not Laid().gram(X, X, None).flags.c_contiguous
     want = fit(rbf, pv, X, y, sigma_n=0.05)
     got = fit(Laid(), None, X, y, sigma_n=0.05)
-    assert np.array_equal(got.alpha, want.alpha)
-    assert got.logL == want.logL
-
-
-@pytest.mark.parametrize("family,sigma_n", [("rbf", 0.05), ("nngp2", 0.05),
-                                            ("quantum-fixed", 0.05),
-                                            ("quantum-fixed", 0.0)])
-def test_fallback_without_numpys_potrf_fits_the_same(monkeypatch, family,
-                                                     sigma_n):
-    n = 300
-    rng = np.random.default_rng(n)
-    X = rng.uniform(-1.0, 1.0, (n, 3))
-    y = rng.standard_normal(n)
-    kernel, pv = _FAMILIES[family]()
-    assert _potrf is not None, "numpy has no scipy_dpotrf_64_"
-    want = fit(kernel, pv, X, y, sigma_n=sigma_n)
-    monkeypatch.setattr("peskit.gp._potrf", None)
-    got = fit(kernel, pv, X, y, sigma_n=sigma_n)
     assert np.array_equal(got.alpha, want.alpha)
     assert got.logL == want.logL
 

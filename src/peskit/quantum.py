@@ -112,18 +112,20 @@ def apply_gate(state, kind, qubits, angle=None):
     q = qubits[0]
     lead = state.shape[:-1]
     view = state.reshape(lead + (2 ** (m - 1 - q), 2, 2 ** q))
-    a = view[..., 0, :].copy()
+    a = view[..., 0, :]
     b = view[..., 1, :]
     if kind == "H":
+        a = a.copy()
         r = 1.0 / math.sqrt(2.0)
         view[..., 0, :] = r * (a + b)
         view[..., 1, :] = r * (a - b)
-    else:  # RY
+    else:  # RY: all four products read the halves before either is written
         phi = np.asarray(angle, dtype=float)
         c = np.cos(0.5 * phi)[..., None, None]
         s = np.sin(0.5 * phi)[..., None, None]
-        view[..., 0, :] = c * a - s * b
-        view[..., 1, :] = s * a + c * b
+        ca, sb, sa, cb = c * a, s * b, s * a, c * b
+        np.subtract(ca, sb, out=a)
+        np.add(sa, cb, out=b)
     return state
 
 

@@ -1,7 +1,8 @@
 """Derivative-free maximization via Bayesian optimization.
 
-Space-filling Sobol initialization, a Matern-5/2 GP surrogate on the unit
-cube, and expected-improvement acquisition maximized by random multi-start.
+A digit-scrambled Halton start design, a Matern-5/2 GP surrogate on the
+unit cube, and expected-improvement acquisition maximized by random
+multi-start.
 Deterministic given (seed, space, budget, objective); never returns a value
 below a supplied warm start.
 
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from .gp import _solve_lower, _solve_lower_t, log_marginal_likelihood
 
@@ -106,6 +106,46 @@ class OptResult:
     values: list = field(default_factory=list)
 
 
+def _primes(count):
+    """The first ``count`` primes."""
+    primes, k = [], 2
+    while len(primes) < count:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def _start_design(P, n, seed):
+    """The first ``n`` points of a digit-scrambled Halton sequence in [0, 1)^P.
+
+    Dimension j counts point i in the j-th prime base b, and each of its
+    ceil(53 / log2 b) digit positions, enough for a double, relabels its
+    digit by its own random permutation of 0..b-1. The permutations come
+    from ``default_rng([seed, 1])``, a stream apart from the one the
+    expected-improvement steps draw from. Each coordinate is the Horner sum
+    z = (perm_k[digit_k] + z) / b from the last digit to the first; the
+    digits past those of n - 1 are 0 for every point, so their shared tail
+    is summed once, and the first n points do not depend on n.
+    """
+    rng = np.random.default_rng([seed, 1])
+    i = np.arange(n)
+    Z = np.empty((n, P))
+    for j, b in enumerate(_primes(P)):
+        K = math.ceil(53 / math.log2(b))
+        perms = rng.random((K, b)).argsort(axis=1)  # one permutation per row
+        L = 1  # digit positions that n - 1 needs
+        while b ** L < n:
+            L += 1
+        z = 0.0
+        for d in reversed(perms[L:, 0].tolist()):
+            z = (d + z) / b
+        for k in range(L - 1, -1, -1):
+            z = (perms[k, i // b ** k % b] + z) / b
+        Z[:, j] = z
+    return Z
+
+
 def _matern52(d):
     """(1 + a + a^2/3) exp(-a) with a = sqrt(5) d, computed in place of d.
 
@@ -175,7 +215,7 @@ def _expected_improvement(Zcand, Z, L, alpha, ell, f_best):
     var = np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12)
     sd = np.sqrt(var)
     gamma = (mu - f_best - _XI) / sd
-    # standard normal cdf and pdf, as scipy.stats.norm computes them
+    # standard normal cdf and pdf, as scipy's norm distribution computes them
     pdf = np.exp(-gamma ** 2 / 2.0) / _SQRT_2PI
     return (mu - f_best - _XI) * ndtr(gamma) + sd * pdf
 
@@ -216,10 +256,8 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
 
     remaining = budget - len(points)
     n0 = min(remaining, max(8, 2 * P))
-    if n0 > 0:
-        sobol = qmc.Sobol(d=P, scramble=True, seed=seed)
-        for z in sobol.random(n0):
-            record(space.from_unit(z))
+    for z in _start_design(P, n0, seed):
+        record(space.from_unit(z))
 
     while len(points) < budget:
         Z = Zs[:len(points)]

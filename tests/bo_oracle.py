@@ -4,7 +4,8 @@ A frozen copy of the optimizer as it was before its surrogate factored all
 lengthscales in one stacked call: one Matern build and one Cholesky
 factorization per lengthscale, ``scipy.linalg.solve_triangular`` for every
 solve, and the whole history mapped to the unit cube again at every step.
-Tests only; the library never imports it.
+Its start design is the scrambled Halton sequence written out one point and
+one digit at a time. Tests only; the library never imports it.
 """
 
 import math
@@ -12,11 +13,37 @@ import math
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.special import ndtr
-from scipy.stats import qmc
 
 from peskit.optimizer import _LENGTHSCALES, SENTINEL
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def start_design(P, n, seed):
+    """Point i, dimension j: digits of i in the j-th prime base b, each
+    relabeled by its digit position's permutation, read as a base-b
+    fraction from the last of its ceil(53 / log2 b) digits to the first."""
+    rng = np.random.default_rng([seed, 1])
+    bases, k = [], 2
+    while len(bases) < P:
+        if all(k % p for p in bases):
+            bases.append(k)
+        k += 1
+    perms = [[np.argsort(row).tolist()
+              for row in rng.random((math.ceil(53 / math.log2(b)), b))]
+             for b in bases]
+    Z = np.empty((n, P))
+    for i in range(n):
+        for j, b in enumerate(bases):
+            digits, r = [], i
+            for _ in perms[j]:
+                digits.append(r % b)
+                r //= b
+            z = 0.0
+            for perm, d in reversed(list(zip(perms[j], digits))):
+                z = (perm[d] + z) / b
+            Z[i, j] = z
+    return Z
 
 
 def from_unit(space, z):
@@ -116,10 +143,8 @@ def maximize(objective, space, budget, seed=0, warm_start=None):
 
     remaining = budget - len(points)
     n0 = min(remaining, max(8, 2 * P))
-    if n0 > 0:
-        sobol = qmc.Sobol(d=P, scramble=True, seed=seed)
-        for z in sobol.random(n0):
-            record(from_unit(space, z))
+    for z in start_design(P, n0, seed):
+        record(from_unit(space, z))
 
     while len(points) < budget:
         Z = to_unit(space, np.asarray(points))

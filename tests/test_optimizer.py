@@ -1,4 +1,9 @@
 import logging
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import bo_oracle
 import numpy as np
@@ -12,9 +17,11 @@ from peskit.gp import log_marginal_likelihood, surrogate_objective
 from peskit.kernels import ClassicalKernel, Leaf, param_vector
 from peskit.optimizer import (_LENGTHSCALES, SENTINEL, OptResult, SearchSpace,
                               _cholesky_each, _expected_improvement, _matern52,
-                              _surrogate_fit, maximize, maximize_logl,
-                              stable_seed)
+                              _start_design, _surrogate_fit, maximize,
+                              maximize_logl, stable_seed)
 from peskit.quantum import build_variable_ansatz
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _space(dim=2, lo=0.0, hi=1.0):
@@ -143,6 +150,57 @@ def test_opt_result_carries_log():
     assert len(res.points) == len(res.values) == 6
     i = int(np.argmax(res.values))
     assert res.best_value == res.values[i]
+
+
+def test_start_design_deterministic_per_seed_and_extensible():
+    a = _start_design(6, 12, 4)
+    assert np.array_equal(a, _start_design(6, 12, 4))
+    assert not np.any(a == _start_design(6, 12, 5))
+    # the first points of a design do not depend on its size
+    assert np.array_equal(a[:5], _start_design(6, 5, 4))
+
+
+@pytest.mark.parametrize("n", [10, 12, 14])
+def test_start_design_distinct_rows_in_half_open_cube(n):
+    for P in range(1, 17):
+        Z = _start_design(P, n, seed=P)
+        assert Z.shape == (n, P)
+        assert np.all((Z >= 0.0) & (Z < 1.0))
+        assert len(np.unique(Z, axis=0)) == n
+
+
+def test_start_design_projections_have_no_wide_gap():
+    # iid uniform draws leave circular gaps of up to 8.3/n at these sizes
+    for P in range(1, 13):
+        n = max(8, 2 * P)
+        for seed in range(20):
+            Z = np.sort(_start_design(P, n, seed), axis=0)
+            gaps = np.diff(np.vstack([Z, Z[:1] + 1.0]), axis=0)
+            assert gaps.max() < 6.0 / n
+
+
+def test_start_design_bitwise_equals_digit_by_digit_oracle():
+    for P in range(1, 17):
+        for n in (1, 8, 2 * P + 1):
+            for seed in (0, 7, stable_seed("design", P)):
+                assert np.array_equal(_start_design(P, n, seed),
+                                      bo_oracle.start_design(P, n, seed))
+
+
+def test_maximize_warns_nothing_at_five_parameters():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        maximize(_bumpy, _scaled_space(5, "mixed"), budget=14, seed=0)
+
+
+def test_import_leaves_scipy_stats_out():
+    # a fresh process, since this session imports scipy.stats for norm
+    code = ("import peskit.cli, peskit.bench, sys; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)),
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 def _ei_reference(Zcand, Z, L, alpha, ell, f_best, xi=1e-3):

@@ -21,7 +21,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import sys
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -53,7 +52,6 @@ def main(argv=None):
     p.add_argument("seed", type=int, nargs="?", default=0,
                    help="workload seed (ignored for a JSON file)")
     args = p.parse_args(argv)
-    warnings.filterwarnings("ignore", "The balance properties of Sobol")
     import workloads
     if args.config in workloads.WORKLOADS:
         doc = workloads.config(args.config, args.seed)

@@ -12,8 +12,10 @@ weight vector up to round-off.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +44,34 @@ JITTER_CAP = 1e-4
 # above this many rows, Grams without a feature map are built by row blocks;
 # 128 timed fastest or even against whole Grams for fits at N = 100 to 2000
 _GRAM_BLOCK = 128
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_grams_on_the_heap():
+    """Have glibc serve blocks under 32 MiB from its heap, and keep 64 MiB
+    of freed heap before it trims.
+
+    glibc maps a block of at least its mmap threshold afresh, so its pages
+    fault in one by one and go back to the system when it is freed. The
+    threshold starts at 128 KiB and rises only to the largest mapped block
+    freed so far, so a fit's Gram, its largest block, stays at or above it:
+    each 200-point fit faulted in its 320 KB Gram anew, 78 pages, unless
+    some earlier free had lifted the threshold. Elsewhere than glibc this
+    does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_grams_on_the_heap()
 
 
 class KernelEvaluationError(RuntimeError):

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -692,3 +696,41 @@ def test_triangular_solves_bitwise_equal_scipy_and_reject_singular():
     for solve in (_solve_lower, _solve_lower_t):
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 7"):
             solve(L, np.ones(25))
+
+
+_FIT_FAULTS = """
+import resource
+from peskit.data import standardize, synth_pes
+from peskit.gp import log_marginal_likelihood
+from peskit.kernels import ClassicalKernel, Leaf, param_vector
+data = synth_pes(3, 200, seed=0)
+y = standardize(data.y)[0]
+expr = Leaf(kind="RBF", params=(1.0,), coef=None)
+kernel, pv = ClassicalKernel(expr=expr), param_vector(expr)
+def fits(k):
+    for i in range(k):
+        log_marginal_likelihood(kernel, pv.with_values([0.5 + 0.01 * i]),
+                                data.X, y, sigma_n=0.1)
+fits(5)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+fits(50)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="glibc's allocator only")
+def test_repeated_fits_reuse_their_gram_pages():
+    # a fresh process: this session has already lifted glibc's threshold by
+    # freeing large blocks; a 200-point Gram faulted in 78 pages per fit
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _FIT_FAULTS], check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)),
+                         capture_output=True, text=True)
+    assert int(out.stdout) < 100

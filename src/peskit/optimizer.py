@@ -2,9 +2,8 @@
 
 A digit-scrambled Halton start design, a Matern-5/2 GP surrogate on the
 unit cube, and expected-improvement acquisition maximized by random
-multi-start.
-Deterministic given (seed, space, budget, objective); never returns a value
-below a supplied warm start.
+multi-start. Deterministic given (seed, space, budget, objective); never
+returns a value below a supplied warm start.
 
 ``maximize_logl`` is the one type-II maximum-likelihood fit of a kernel's
 parameters, run by every structure search and fixed-kernel fit.

@@ -128,11 +128,13 @@ class KernelFn:
 
     Above ``_GRAM_BLOCK`` training rows, ``build_kernel_matrix`` calls
     ``gram`` on row blocks ``(X[i0:i1], X[i0:])`` of the upper triangle, so
-    each entry must depend only on its own two rows, bit for bit. A BLAS
-    product ``X @ X2.T`` does not: its last bits depend on the shape of the
-    call. A kernel built on inner products therefore sets
-    ``inner_products = True``, and its block calls get ``dot``, those rows
-    of one whole ``X @ X.T``, to use in place of its own product.
+    each entry must depend only on its own two rows. Elementwise work meets
+    that bit for bit; an inner product ``X @ X2.T`` only to round-off, as a
+    BLAS product's last bits may depend on the shape of the call. (With
+    OpenBLAS 0.3.31 on an AVX-512 Xeon, block-built and whole Grams of
+    3-column inputs agreed in every entry at N = 200 and 2000; at N = 300,
+    152 entries of a DOT Gram and 60 of a depth-2 NNGP Gram differed, by at
+    most one ulp of the largest entry.)
 
     A kernel that is an inner product of r real features may also report
     ``n_features = r`` and implement ``features(X, params)``, the (B, r)
@@ -142,7 +144,6 @@ class KernelFn:
     """
 
     n_features = None  # no finite feature map
-    inner_products = False  # block calls need no ``dot``
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         raise NotImplementedError
@@ -242,7 +243,9 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     lower triangle is its mirror image. Above ``_GRAM_BLOCK`` rows, a kernel
     without a feature map is evaluated on row blocks of the upper triangle
     only, ``gram(X[i0:i1], X[i0:])`` (see ``KernelFn``); any other kernel
-    returns the whole Gram in one call. A non-finite entry of the upper
+    returns the whole Gram in one call. Each block forms its own inner
+    products, so a Gram built on them may differ from the upper triangle of
+    one whole ``gram(X, X)`` at round-off. A non-finite entry of the upper
     triangle raises ``KernelEvaluationError`` naming the first offending
     pair, row by row.
     """
@@ -251,16 +254,11 @@ def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
     whole = n <= _GRAM_BLOCK or kernel.n_features is not None
     if whole:
         K = np.asarray(kernel.gram(X, X, params), dtype=float)
-    elif kernel.inner_products:
-        # the products a whole-Gram call forms; each block reads its own
-        # rows of them before it overwrites them
-        K = X @ X.T
     else:
         K = np.empty((n, n))
     for i0, i1 in _row_blocks(n):
         if not whole:
-            dot = {"dot": K[i0:i1, i0:]} if kernel.inner_products else {}
-            K[i0:i1, i0:] = kernel.gram(X[i0:i1], X[i0:], params, **dot)
+            K[i0:i1, i0:] = kernel.gram(X[i0:i1], X[i0:], params)
         # mirror the upper triangle so symmetry holds bitwise
         _mirror(K, i0, i1)
         rows = K[i0:i1, i0:]

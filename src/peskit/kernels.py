@@ -108,13 +108,11 @@ def _matern_r(r, nu):
 
 
 class _Pairwise:
-    """Pairwise quantities of two input sets, each computed on first use;
-    ``dot``, if given, holds the inner products."""
+    """Pairwise quantities of two input sets, each computed on first use
+    from the two sets alone."""
 
-    def __init__(self, X, X2, dot=None):
+    def __init__(self, X, X2):
         self.X, self.X2 = X, X2
-        if dot is not None:
-            self.dot = dot
 
     @cached_property
     def d2(self):
@@ -129,18 +127,12 @@ class _Pairwise:
         return self.X @ self.X2.T
 
 
-def gram_expr(expr, X, X2, dot=None):
-    """Vectorized Gram matrix of a kernel expression, as a fresh array;
-    ``dot``, if given, is ``X @ X2.T``."""
+def gram_expr(expr, X, X2):
+    """Vectorized Gram matrix of a kernel expression, as a fresh array.
+    A DOT leaf's entries are this call's own ``X @ X2.T``."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     X2 = np.atleast_2d(np.asarray(X2, dtype=float))
-    return _gram_rec(expr, _Pairwise(X, X2, dot))
-
-
-def _has_dot(expr):
-    if isinstance(expr, Leaf):
-        return expr.kind == "DOT"
-    return _has_dot(expr.left) or _has_dot(expr.right)
+    return _gram_rec(expr, _Pairwise(X, X2))
 
 
 def _gram_rec(expr, pw):
@@ -274,9 +266,5 @@ class ClassicalKernel(KernelFn):
 
     expr: object
 
-    @property
-    def inner_products(self) -> bool:
-        return _has_dot(self.expr)
-
-    def gram(self, X, X2, params: ParamVector, dot=None) -> np.ndarray:
-        return gram_expr(with_params(self.expr, params.values), X, X2, dot)
+    def gram(self, X, X2, params: ParamVector) -> np.ndarray:
+        return gram_expr(with_params(self.expr, params.values), X, X2)

@@ -35,7 +35,6 @@ class NNGPKernel(KernelFn):
     """
 
     depth: int
-    inner_products = True
 
     def __post_init__(self):
         if self.depth < 1:
@@ -50,7 +49,7 @@ class NNGPKernel(KernelFn):
         return ParamVector(values=values, lower=lower, upper=upper,
                            scales=scales)
 
-    def gram(self, X, X2, params: ParamVector, dot=None) -> np.ndarray:
+    def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         X2 = np.atleast_2d(np.asarray(X2, dtype=float))
         v = params.values
@@ -61,7 +60,7 @@ class NNGPKernel(KernelFn):
         # each layer updates K in place, in the operation order of
         # K = sb2 + sw2 (2/pi) arcsin(clip(2 K / denom))
         sw2, sb2 = v[0] ** 2, v[1] ** 2
-        K = X @ X2.T if dot is None else dot.copy()
+        K = X @ X2.T
         K *= sw2
         K /= D
         K += sb2

@@ -33,7 +33,7 @@ from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
                  TraceRow, beta, log_marginal_likelihood)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import (QuantumKernel, QubitLayer, apply_layers,
-                      build_variable_ansatz, statevectors)
+                      build_variable_ansatz, simulate)
 
 __all__ = ["BeamState", "Candidate", "layer_pool", "search_moves", "extend",
            "screen", "refine", "search_circuit", "canonical_layers"]
@@ -134,13 +134,15 @@ class _ChildKernel(QuantumKernel):
 
 def _prefix_states(kernel, pv, X):
     """States of ``kernel`` without its last two layers (a child's new
-    layer and R_Y^m): H^m and its parent's U_e."""
-    return statevectors(kernel.m, kernel.layers[:-2], pv, X)
+    layer and R_Y^m): H^m and its parent's U_e, amplitude axis first."""
+    return simulate(kernel.m, kernel.layers[:-2], pv, X)
 
 
 def _child_states(prefix, kernel, pv, X):
-    """States of ``kernel`` from a copy of its ``_prefix_states``."""
-    return apply_layers(prefix.copy(), kernel.layers[-2:], pv, X)
+    """States of ``kernel`` from a copy of its ``_prefix_states``, one row
+    per input as ``statevectors`` gives them."""
+    psi = apply_layers(prefix.copy(), kernel.layers[-2:], pv, X)
+    return np.ascontiguousarray(psi.T)
 
 
 def screen(candidates, data, cfg) -> BeamState:

@@ -4,6 +4,11 @@ Gate set {H, R_Z, R_Y, R_ZZ} with little-endian qubit ordering (qubit 0
 is the least significant bit of the basis index). Data vectors are encoded
 into gate angles; the kernel is the squared overlap of the two encoded
 states, computed from cached statevectors.
+
+The simulator holds a batch of B states amplitude axis first, shape
+(2^m, B), one state per column: a gate on any qubit then runs its inner
+loops along the contiguous batch, and each column's angle broadcasts along
+it. ``statevectors`` hands the states on one row per input, (B, 2^m).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ __all__ = [
     "apply_gate",
     "encode",
     "apply_layers",
+    "simulate",
     "statevectors",
     "build_fixed_ansatz",
     "build_variable_ansatz",
@@ -66,66 +72,97 @@ def _gates(layer, m):
 
 
 def zero_state(m, batch=None):
-    """|0...0> as amplitudes, optionally batched."""
-    shape = (2 ** m,) if batch is None else (batch, 2 ** m)
+    """|0...0> as amplitudes: shape (2^m,), or (2^m, batch) with one state
+    per column.
+
+    The amplitude axis comes first in every state array of this module, so
+    a gate's inner loops run along the contiguous batch axis.
+    """
+    shape = (2 ** m,) if batch is None else (2 ** m, batch)
     psi = np.zeros(shape, dtype=complex)
-    psi[..., 0] = 1.0
+    psi[0] = 1.0
     return psi
 
 
 @functools.lru_cache(maxsize=64)
-def _bit(m, q):
-    """Read-only 0/1 mask of qubit ``q`` over the 2^m basis indices."""
-    bit = (np.arange(2 ** m) >> q) & 1
-    bit.flags.writeable = False
-    return bit
+def _parity(m, qubits):
+    """Read-only parity of the ``qubits``' bits over the 2^m basis indices:
+    0 where their Z eigenvalue product is +1, 1 where it is -1."""
+    index = np.arange(2 ** m)
+    parity = np.zeros(2 ** m, dtype=np.intp)
+    for q in qubits:
+        parity ^= (index >> q) & 1
+    parity.flags.writeable = False
+    return parity
+
+
+def _halves(state, q):
+    """Views of the amplitudes whose qubit ``q`` is 0 and 1, paired."""
+    view = state.reshape((state.shape[0] >> (q + 1), 2, 1 << q)
+                         + state.shape[1:])
+    return view[:, 0], view[:, 1]
+
+
+def _hadamard(state, q):
+    """H on qubit ``q``."""
+    a, b = _halves(state, q)
+    a0 = a.copy()
+    r = 1.0 / math.sqrt(2.0)
+    a[...] = r * (a0 + b)
+    b[...] = r * (a0 - b)
+
+
+def _rotate(state, q, c, s):
+    """R_Y on qubit ``q`` from the half-angle cosine ``c`` and sine ``s``:
+    all four products read the halves before either is written."""
+    a, b = _halves(state, q)
+    ca, sb, sa, cb = c * a, s * b, s * a, c * b
+    np.subtract(ca, sb, out=a)
+    np.add(sa, cb, out=b)
+
+
+def _phase(state, parity, e):
+    """A diagonal gate: exp(-i phi/2) = ``e`` where the Z eigenvalue product
+    is +1 and its conjugate where it is -1, one exponential per angle."""
+    table = np.empty((2,) + np.shape(e), dtype=complex)
+    table[0] = e
+    table[1] = e.conj()
+    factor = table[parity]
+    if factor.ndim < state.ndim:  # one angle for every column
+        factor = factor[:, None]
+    state *= factor
 
 
 def apply_gate(state, kind, qubits, angle=None):
-    """Apply one gate in place to amplitudes of shape (..., 2^m).
+    """Apply one gate in place to amplitudes of shape (2^m,) or (2^m, B).
 
     ``kind`` is H, RZ, RY or RZZ, acting on the qubit index(es) ``qubits``.
-    ``angle`` may be a scalar or an array broadcasting over leading axes;
-    it is ignored for H.
+    The amplitude axis comes first and a batch holds one state per column.
+    ``angle`` is a scalar or a (B,) array, one angle per column; H takes
+    none, and every other kind requires one.
     """
     n = _ARITY.get(kind)
     if n is None:
         raise ValueError(f"unknown gate kind {kind!r}")
     if len(qubits) != n:
         raise ValueError(f"{kind} takes {n} qubit index(es)")
-    m = state.shape[-1].bit_length() - 1
+    m = state.shape[0].bit_length() - 1
     for q in qubits:
         if not 0 <= q < m:
             raise IndexError(f"qubit index {q} out of range for m={m}")
-    if kind in ("RZ", "RZZ"):
-        if kind == "RZ":
-            s = _bit(m, qubits[0])
-        else:
-            i, j = qubits
-            s = _bit(m, i) ^ _bit(m, j)
-        # the phase is exp(-i phi/2) where the Z eigenvalue product is +1 and
-        # its conjugate where it is -1: one exponential per angle
-        e = np.exp(-0.5j * np.asarray(angle, dtype=float))[..., None]
-        state *= np.where(s == 0, e, e.conj())
-        return state
-    # H and RY mix amplitude pairs along the target-qubit axis
-    q = qubits[0]
-    lead = state.shape[:-1]
-    view = state.reshape(lead + (2 ** (m - 1 - q), 2, 2 ** q))
-    a = view[..., 0, :]
-    b = view[..., 1, :]
     if kind == "H":
-        a = a.copy()
-        r = 1.0 / math.sqrt(2.0)
-        view[..., 0, :] = r * (a + b)
-        view[..., 1, :] = r * (a - b)
-    else:  # RY: all four products read the halves before either is written
-        phi = np.asarray(angle, dtype=float)
-        c = np.cos(0.5 * phi)[..., None, None]
-        s = np.sin(0.5 * phi)[..., None, None]
-        ca, sb, sa, cb = c * a, s * b, s * a, c * b
-        np.subtract(ca, sb, out=a)
-        np.add(sa, cb, out=b)
+        _hadamard(state, qubits[0])
+        return state
+    if angle is None:
+        raise ValueError(f"{kind} needs an angle")
+    phi = np.asarray(angle, dtype=float)
+    if phi.ndim and phi.shape != state.shape[1:]:
+        raise ValueError(f"angle shape {phi.shape} does not match the batch "
+                         f"of a state of shape {state.shape}")
+    if kind == "RY":
+        _rotate(state, qubits[0], np.cos(0.5 * phi), np.sin(0.5 * phi))
+    else:
+        _phase(state, _parity(m, tuple(qubits)), np.exp(-0.5j * phi))
     return state
 
 
@@ -149,30 +186,57 @@ def encode(x, params: ParamVector, kind, qubits):
 
 
 def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
-    """Apply circuit layers in place to states ``psi`` of shape (B, 2^m),
-    the encoded angles taken from the B rows of ``X``."""
-    m = psi.shape[-1].bit_length() - 1
+    """Apply circuit layers in place to states ``psi`` of shape (2^m, B),
+    one column per row of ``X``, from which the encoded angles are taken.
+
+    An R_Z or R_Y layer takes its m angles x_i / theta_i, and their
+    half-angle cosines and sines or their phases, from one call each.
+    """
+    m = psi.shape[0].bit_length() - 1
     for layer in layers:
-        for kind, qubits in _gates(layer, m):
-            angle = None if kind == "H" else encode(X, params, kind, qubits)
-            apply_gate(psi, kind, qubits, angle)
+        if not isinstance(layer, QubitLayer):
+            for pair in layer:
+                _phase(psi, _parity(m, tuple(pair)),
+                       np.exp(-0.5j * encode(X, params, "RZZ", pair)))
+        elif layer.kind == "H":
+            for q in range(m):
+                _hadamard(psi, q)
+        else:
+            v = params.values
+            if m > v.size - 1:
+                raise ValueError(f"no encoding scale for qubit {v.size - 1}")
+            phi = (np.asarray(X, dtype=float)[..., :m] / v[:m]).T
+            if layer.kind == "RY":
+                c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
+                for q in range(m):
+                    _rotate(psi, q, c[q], s[q])
+            else:
+                e = np.exp(-0.5j * phi)
+                for q in range(m):
+                    _phase(psi, _parity(m, (q,)), e[q])
     return psi
 
 
-def statevectors(m, layers, params: ParamVector, X) -> np.ndarray:
+def simulate(m, layers, params: ParamVector, X) -> np.ndarray:
     """Encoded states U(x)|0...0> of the m-qubit circuit ``layers`` for
-    each input row; shape (B, 2^m).
+    each input row, amplitude axis first: shape (2^m, B).
 
     The leading H layers (H^m in both ansaetze) are simulated once on one
-    row, which is then repeated B times.
+    column, which is then repeated B times.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != m:
         raise ValueError(f"input dimension {X.shape[1]} != qubit count m={m}")
     k = next((i for i, layer in enumerate(layers) if layer != _H), len(layers))
     head = apply_layers(zero_state(m, batch=1), layers[:k], params, X)
-    return apply_layers(np.repeat(head, X.shape[0], axis=0), layers[k:],
+    return apply_layers(np.repeat(head, X.shape[0], axis=1), layers[k:],
                         params, X)
+
+
+def statevectors(m, layers, params: ParamVector, X) -> np.ndarray:
+    """The states of ``simulate``, one row per input: a C-contiguous
+    (B, 2^m) array, the form every Gram and feature map reads."""
+    return np.ascontiguousarray(simulate(m, layers, params, X).T)
 
 
 @dataclass(frozen=True)

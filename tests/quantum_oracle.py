@@ -28,12 +28,16 @@ def _angle(kind, qubits, params, X):
 
 
 def replay_states(kernel, params, X):
-    """Encoded states U(x)|0...0> for each row of ``X``; shape (B, 2^m)."""
+    """Encoded states U(x)|0...0> for each row of ``X``; shape (B, 2^m).
+
+    The replay runs on one column per row, the simulator's layout, and
+    returns the states one row per input, as ``statevectors`` does.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     psi = zero_state(kernel.m, batch=X.shape[0])
     for kind, qubits in gates(kernel):
         apply_gate(psi, kind, qubits, _angle(kind, qubits, params, X))
-    return psi
+    return np.ascontiguousarray(psi.T)
 
 
 def statevector_for(kernel, params, x):
@@ -49,7 +53,10 @@ def fidelity_kernel(kernel, params, x, xp):
 
 
 def fidelity_via_adjoint(kernel, params, x, xp):
-    """Literal path: apply U(x), then the adjoint circuit of U(x'), read |<0|.>|^2."""
+    """Literal path: apply U(x), then the adjoint circuit of U(x'), read |<0|.>|^2.
+
+    The state is one column, shape (2^m, 1); its amplitude 0 is ``psi[0, 0]``.
+    """
     psi = zero_state(kernel.m, batch=1)
     X = np.atleast_2d(np.asarray(x, dtype=float))
     Xp = np.atleast_2d(np.asarray(xp, dtype=float))

@@ -131,8 +131,9 @@ def test_prefix_built_child_states_equal_full_simulation(m):
             kernel = build_variable_ansatz(m, parent + (move,))
             if prefix is None:
                 prefix = _prefix_states(kernel, pv, X)
-            assert np.array_equal(_child_states(prefix, kernel, pv, X),
-                                  statevectors(m, kernel.layers, pv, X))
+            states = _child_states(prefix, kernel, pv, X)
+            assert states.flags.c_contiguous  # one row per input
+            assert np.array_equal(states, statevectors(m, kernel.layers, pv, X))
         # building the children left the shared prefix as it was
         assert np.array_equal(prefix, _prefix_states(kernel, pv, X))
 

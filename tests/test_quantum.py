@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from peskit.circuit_search import canonical_layers
+from peskit.circuit_search import canonical_layers, layer_pool, search_moves
 from peskit.quantum import (QuantumKernel, QubitLayer, apply_gate,
                             build_fixed_ansatz, build_variable_ansatz, encode,
                             statevectors, zero_state)
@@ -63,23 +63,44 @@ def test_apply_gate_matches_dense_oracle(kind):
 @pytest.mark.parametrize("gate", [("RZ", (1,)), ("RZZ", (0, 2))])
 def test_diagonal_gate_equals_elementwise_phase_exactly(gate):
     # the phase exp(-i phi s / 2), s = +-1, taken per basis state: the
-    # gate's one-exponential-per-angle form must reproduce it bit for bit
+    # gate's one-exponential-per-angle form must reproduce it bit for bit,
+    # on a batch of 50 states held one per column with one angle each
     kind, qubits = gate
     z = np.array([1.0 - 2.0 * ((np.arange(8) >> q) & 1) for q in range(3)])
     s = np.prod(z[list(qubits)], axis=0)
     angles = rng.uniform(-20, 20, 50)
-    psi = np.stack([_random_state(3) for _ in range(50)])
+    psi = np.stack([_random_state(3) for _ in range(50)], axis=1)
     got = apply_gate(psi.copy(), kind, qubits, angles)
-    assert np.array_equal(got, psi * np.exp(-0.5j * angles[:, None] * s))
+    assert np.array_equal(got, psi * np.exp(-0.5j * angles[None, :] * s[:, None]))
+    # one scalar angle applies to every column alike
+    got = apply_gate(psi.copy(), kind, qubits, angles[0])
+    assert np.array_equal(got, psi * np.exp(-0.5j * angles[0] * s[:, None]))
 
 
 def test_apply_gate_batched_angles():
+    # a batch holds one state per column, and angle b turns column b
     angles = rng.uniform(-3, 3, 4)
-    psi = np.stack([_random_state(2) for _ in range(4)])
+    psi = np.stack([_random_state(2) for _ in range(4)], axis=1)
     got = apply_gate(psi.copy(), "RY", (1,), angles)
     for b in range(4):
-        want = _dense_gate("RY", (1,), 2, angles[b]) @ psi[b]
-        assert np.max(np.abs(got[b] - want)) < 1e-12
+        want = _dense_gate("RY", (1,), 2, angles[b]) @ psi[:, b]
+        assert np.max(np.abs(got[:, b] - want)) < 1e-12
+
+
+def test_batched_gates_equal_single_state_gates_exactly():
+    # every gate on a (2^m, B) batch equals the same gate on each column
+    # alone, bit for bit, at every qubit
+    m, B = 4, 9
+    psi = np.stack([_random_state(m) for _ in range(B)], axis=1)
+    for kind in ("H", "RZ", "RY", "RZZ"):
+        for qubits in ([(q,) for q in range(m)] if kind != "RZZ"
+                       else [(0, 1), (0, 3), (1, 2), (2, 3)]):
+            angles = None if kind == "H" else rng.uniform(-4, 4, B)
+            got = apply_gate(psi.copy(), kind, qubits, angles)
+            for b in range(B):
+                one = apply_gate(psi[:, b].copy(), kind, qubits,
+                                 None if angles is None else angles[b])
+                assert np.array_equal(got[:, b], one)
 
 
 def test_norm_preserved_over_many_gates():
@@ -111,6 +132,15 @@ def test_gate_op_validation():
         apply_gate(psi, "H", (3,))
     with pytest.raises(IndexError, match="out of range"):
         apply_gate(psi, "RZZ", (0, 5), 0.3)
+    # every rotation needs its angle; only H takes none
+    for kind, qubits in (("RZ", (0,)), ("RY", (1,)), ("RZZ", (0, 2))):
+        with pytest.raises(ValueError, match="needs an angle"):
+            apply_gate(psi, kind, qubits)
+        # a single state takes one angle, a batch one per column
+        with pytest.raises(ValueError, match="does not match the batch"):
+            apply_gate(psi, kind, qubits, np.full(2, 0.3))
+        with pytest.raises(ValueError, match="does not match the batch"):
+            apply_gate(zero_state(3, batch=4), kind, qubits, np.full(3, 0.3))
     assert np.array_equal(psi, zero_state(3))  # no refused gate touched it
 
 
@@ -353,22 +383,36 @@ def test_statevectors_shape_and_dim_check():
     pv = kernel.default_params()
     V = statevectors(2, kernel.layers, pv, rng.uniform(0, 1, (7, 2)))
     assert V.shape == (7, 4)
+    assert V.flags.c_contiguous  # one row per input, as the Gram reads it
     assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
     with pytest.raises(ValueError):
         statevectors(2, kernel.layers, pv, rng.uniform(0, 1, (7, 3)))
 
 
+def _head_kernels(m):
+    """Circuits whose data-free head is the leading run of H layers: one
+    layer in both ansaetze, three when U_e starts with two H layers, and
+    random sequences of search moves."""
+    pair = ((0, m - 1),)
+    kernels = [build_fixed_ansatz(m), build_variable_ansatz(m, ()),
+               build_variable_ansatz(m, (QubitLayer("H"), pair,
+                                         QubitLayer("RZ"), QubitLayer("RY"))),
+               build_variable_ansatz(m, (QubitLayer("H"), QubitLayer("H"),
+                                         layer_pool(m)[-1], QubitLayer("RZ")))]
+    moves = search_moves(m)
+    for _ in range(4):
+        pick = rng.integers(len(moves), size=int(rng.integers(1, 6)))
+        kernels.append(build_variable_ansatz(m, tuple(moves[i] for i in pick)))
+    return kernels
+
+
 @pytest.mark.parametrize("B", [1, 7, 150])
 def test_head_broadcast_states_equal_full_replay(B):
-    # the data-free head is the leading run of H layers: one layer in both
-    # ansaetze, three when U_e starts with two H layers
-    kernels = [build_fixed_ansatz(4), build_variable_ansatz(4, ()),
-               build_variable_ansatz(4, (QubitLayer("H"), ((0, 3),),
-                                         QubitLayer("RZ"), QubitLayer("RY"))),
-               build_variable_ansatz(4, (QubitLayer("H"), QubitLayer("H"),
-                                         ((0, 3), (1, 2)), QubitLayer("RZ")))]
-    X = rng.uniform(0, 1, (B, 4))
-    for kernel in kernels:
-        pv = kernel.default_params().with_values(rng.uniform(0.2, 4.0, 5))
-        assert np.array_equal(statevectors(4, kernel.layers, pv, X),
-                              replay_states(kernel, pv, X))
+    for m in (2, 3, 4, 5, 6):
+        X = rng.uniform(0, 1, (B, m))
+        for kernel in _head_kernels(m):
+            pv = kernel.default_params().with_values(
+                rng.uniform(0.2, 4.0, m + 1))
+            V = statevectors(m, kernel.layers, pv, X)
+            assert V.shape == (B, 2 ** m) and V.flags.c_contiguous
+            assert np.array_equal(V, replay_states(kernel, pv, X))

@@ -112,6 +112,8 @@ class ExperimentConfig:
                                   f"choose from {FAMILIES}")
         if not isinstance(self.dataset, dict) or "kind" not in self.dataset:
             raise ConfigError("dataset must be a dict with a 'kind' key")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ConfigError("out_dir must be a nonempty string")
         for key, least in _LEAST.items():
             value = getattr(self, key)
             if not _is_int(value) or value < least:

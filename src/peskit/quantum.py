@@ -9,6 +9,8 @@ The simulator holds a batch of B states amplitude axis first, shape
 (2^m, B), one state per column: a gate on any qubit then runs its inner
 loops along the contiguous batch, and each column's angle broadcasts along
 it. ``statevectors`` hands the states on one row per input, (B, 2^m).
+Every gate runs through ``apply_layers``, one whole circuit layer at a
+time, with the angles that layer encodes from the inputs.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ __all__ = [
     "QubitLayer",
     "QuantumKernel",
     "zero_state",
-    "apply_gate",
-    "encode",
     "apply_layers",
     "simulate",
     "statevectors",
@@ -37,9 +37,6 @@ __all__ = [
 
 # default bounds for the encoding scales theta_1..theta_m and Theta
 THETA_BOUNDS = (1e-2, 1e1)
-
-_ARITY = {"H": 1, "RZ": 1, "RY": 1, "RZZ": 2}  # qubits each gate kind acts on
-
 
 @dataclass(frozen=True)
 class QubitLayer:
@@ -71,15 +68,13 @@ def _gates(layer, m):
     return [("RZZ", pair) for pair in layer]
 
 
-def zero_state(m, batch=None):
-    """|0...0> as amplitudes: shape (2^m,), or (2^m, batch) with one state
-    per column.
+def zero_state(m, batch):
+    """|0...0> as amplitudes of shape (2^m, batch), one state per column.
 
     The amplitude axis comes first in every state array of this module, so
     a gate's inner loops run along the contiguous batch axis.
     """
-    shape = (2 ** m,) if batch is None else (2 ** m, batch)
-    psi = np.zeros(shape, dtype=complex)
+    psi = np.zeros((2 ** m, batch), dtype=complex)
     psi[0] = 1.0
     return psi
 
@@ -123,66 +118,11 @@ def _rotate(state, q, c, s):
 
 def _phase(state, parity, e):
     """A diagonal gate: exp(-i phi/2) = ``e`` where the Z eigenvalue product
-    is +1 and its conjugate where it is -1, one exponential per angle."""
-    table = np.empty((2,) + np.shape(e), dtype=complex)
+    is +1 and its conjugate where it is -1, one exponential per column."""
+    table = np.empty((2,) + e.shape, dtype=complex)
     table[0] = e
     table[1] = e.conj()
-    factor = table[parity]
-    if factor.ndim < state.ndim:  # one angle for every column
-        factor = factor[:, None]
-    state *= factor
-
-
-def apply_gate(state, kind, qubits, angle=None):
-    """Apply one gate in place to amplitudes of shape (2^m,) or (2^m, B).
-
-    ``kind`` is H, RZ, RY or RZZ, acting on the qubit index(es) ``qubits``.
-    The amplitude axis comes first and a batch holds one state per column.
-    ``angle`` is a scalar or a (B,) array, one angle per column; H takes
-    none, and every other kind requires one.
-    """
-    n = _ARITY.get(kind)
-    if n is None:
-        raise ValueError(f"unknown gate kind {kind!r}")
-    if len(qubits) != n:
-        raise ValueError(f"{kind} takes {n} qubit index(es)")
-    m = state.shape[0].bit_length() - 1
-    for q in qubits:
-        if not 0 <= q < m:
-            raise IndexError(f"qubit index {q} out of range for m={m}")
-    if kind == "H":
-        _hadamard(state, qubits[0])
-        return state
-    if angle is None:
-        raise ValueError(f"{kind} needs an angle")
-    phi = np.asarray(angle, dtype=float)
-    if phi.ndim and phi.shape != state.shape[1:]:
-        raise ValueError(f"angle shape {phi.shape} does not match the batch "
-                         f"of a state of shape {state.shape}")
-    if kind == "RY":
-        _rotate(state, qubits[0], np.cos(0.5 * phi), np.sin(0.5 * phi))
-    else:
-        _phase(state, _parity(m, tuple(qubits)), np.exp(-0.5j * phi))
-    return state
-
-
-def encode(x, params: ParamVector, kind, qubits):
-    """Angle(s) for one encoded gate; ``x`` is a D-vector or (B, D) batch.
-
-    R_Y / R_Z on qubit i -> x_i / theta_i; R_ZZ on (i, j) ->
-    exp(-(x_i - x_j)^2 / Theta).
-    """
-    x = np.asarray(x, dtype=float)
-    v = params.values
-    if kind in ("RY", "RZ"):
-        i = qubits[0]
-        if i >= v.size - 1:
-            raise ValueError(f"no encoding scale for qubit {i}")
-        return x[..., i] / v[i]
-    if kind == "RZZ":
-        i, j = qubits
-        return np.exp(-((x[..., i] - x[..., j]) ** 2) / v[-1])
-    raise ValueError(f"gate kind {kind} carries no encoded angle")
+    state *= table[parity]
 
 
 def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
@@ -190,22 +130,23 @@ def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
     one column per row of ``X``, from which the encoded angles are taken.
 
     An R_Z or R_Y layer takes its m angles x_i / theta_i, and their
-    half-angle cosines and sines or their phases, from one call each.
+    half-angle cosines and sines or their phases, from one call each. An
+    R_ZZ gate on (i, j) turns by exp(-(x_i - x_j)^2 / Theta).
     """
     m = psi.shape[0].bit_length() - 1
+    X, v = np.asarray(X, dtype=float), params.values
     for layer in layers:
         if not isinstance(layer, QubitLayer):
-            for pair in layer:
-                _phase(psi, _parity(m, tuple(pair)),
-                       np.exp(-0.5j * encode(X, params, "RZZ", pair)))
+            for i, j in layer:
+                phi = np.exp(-((X[..., i] - X[..., j]) ** 2) / v[-1])
+                _phase(psi, _parity(m, (i, j)), np.exp(-0.5j * phi))
         elif layer.kind == "H":
             for q in range(m):
                 _hadamard(psi, q)
         else:
-            v = params.values
             if m > v.size - 1:
                 raise ValueError(f"no encoding scale for qubit {v.size - 1}")
-            phi = (np.asarray(X, dtype=float)[..., :m] / v[:m]).T
+            phi = (X[..., :m] / v[:m]).T
             if layer.kind == "RY":
                 c, s = np.cos(0.5 * phi), np.sin(0.5 * phi)
                 for q in range(m):

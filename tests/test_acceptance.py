@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 from scipy.special import erf
 
 from peskit.bench import ExperimentConfig
-from peskit.circuit_search import canonical_layers, layer_pool, search_circuit
+from peskit.circuit_search import (canonical_layers, layer_pool,
+                                   search_circuit, search_moves)
 from peskit.data import split_random, standardize, synth_pes
 from peskit.gp import (beta, fit, log_marginal_likelihood, predict, rmse,
                        surrogate_objective)
@@ -27,40 +27,13 @@ from peskit.kernel_search import search_classical
 from peskit.kernels import ClassicalKernel, Sum, new_leaf, param_vector
 from peskit.nngp import NNGPKernel
 from peskit.optimizer import SearchSpace, maximize, stable_seed
-from peskit.quantum import (QubitLayer, apply_gate, build_fixed_ansatz,
+from peskit.quantum import (QubitLayer, apply_layers, build_fixed_ansatz,
                             build_variable_ansatz, zero_state)
-from quantum_oracle import fidelity_kernel, fidelity_via_adjoint
+from quantum_oracle import dense_layer, fidelity_kernel, fidelity_via_adjoint
 from screen_oracle import involution_count
 from search_config import search_config
 
 rng = np.random.default_rng(20240817)
-
-_Y = np.array([[0, -1j], [1j, 0]])
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
-
-
-def _embed(op, m, q):
-    # little-endian: qubit 0 is the least significant bit
-    return np.kron(np.kron(np.eye(2 ** (m - 1 - q)), op), np.eye(2 ** q))
-
-
-def _dense_gate(kind, qubits, m, angle=None):
-    if kind == "H":
-        return _embed(_H, m, qubits[0])
-    if kind == "RY":
-        return expm(-0.5j * angle * _embed(_Y, m, qubits[0]))
-    if kind == "RZ":
-        return expm(-0.5j * angle * _embed(_Z, m, qubits[0]))
-    i, j = qubits
-    return expm(-0.5j * angle * (_embed(_Z, m, i) @ _embed(_Z, m, j)))
-
-
-def _random_qubits(kind, m):
-    if kind == "RZZ":
-        i, j = sorted(rng.choice(m, size=2, replace=False))
-        return (int(i), int(j))
-    return (int(rng.integers(m)),)
 
 
 # ---------------------------------------------------------------------------
@@ -68,22 +41,25 @@ def _random_qubits(kind, m):
 
 def test_gate_updates_match_dense_oracles_and_preserve_norm():
     t0 = time.perf_counter()
-    m = 3
-    for kind in ("H", "RZ", "RY", "RZZ"):
+    m, B = 3, 4
+    moves = search_moves(m)
+    for layer in moves:
         for _ in range(20):
-            qubits = _random_qubits(kind, m)
-            angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-            psi = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
-            psi /= np.linalg.norm(psi)
-            got = apply_gate(psi.copy(), kind, qubits, angle)
-            want = _dense_gate(kind, qubits, m, angle) @ psi
-            assert np.max(np.abs(got - want)) <= 1e-12
-    psi = zero_state(m)
+            pv = build_variable_ansatz(m, ()).default_params().with_values(
+                rng.uniform(0.5, 2.0, m + 1))
+            X = rng.uniform(-2 * math.pi, 2 * math.pi, (B, m))
+            psi = (rng.standard_normal((2 ** m, B))
+                   + 1j * rng.standard_normal((2 ** m, B)))
+            psi /= np.linalg.norm(psi, axis=0)
+            got = apply_layers(psi.copy(), (layer,), pv, X)
+            for b in range(B):
+                want = dense_layer(layer, m, pv, X[b]) @ psi[:, b]
+                assert np.max(np.abs(got[:, b] - want)) <= 1e-12
+    psi = zero_state(m, B)
     for _ in range(10_000):
-        kind = ("H", "RZ", "RY", "RZZ")[rng.integers(4)]
-        apply_gate(psi, kind, _random_qubits(kind, m),
-                   float(rng.uniform(-math.pi, math.pi)))
-    assert abs(np.linalg.norm(psi) - 1.0) <= 1e-12
+        X = rng.uniform(-math.pi, math.pi, (B, m))
+        apply_layers(psi, (moves[rng.integers(len(moves))],), pv, X)
+    assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) <= 1e-12
     assert time.perf_counter() - t0 < 5.0
 
 

@@ -305,6 +305,21 @@ def test_cli_rejects_bad_sizes_thresholds_and_seeds(tmp_path, capsys,
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("bad", [5, None, ["a"], ""])
+def test_cli_rejects_bad_out_dir(tmp_path, capsys, monkeypatch, bad):
+    # refused as a config error before any cell runs, not after the whole
+    # computation when the artefacts are written
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, out_dir=bad)
+    for command in ("bench-interp", "fit", "report"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_CONFIG
+        assert "out_dir" in capsys.readouterr().err
+    assert cli.main(["search-classical", "--config", _write_config(tmp_path),
+                     "--out", ""]) == cli.EXIT_CONFIG
+    assert "out_dir" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_cli_report_on_malformed_table_is_data_error(tmp_path, capsys):
     path = tmp_path / "results.csv"
     ResultTable(rows=[ResultRow("rbf", 40, 0, 5.0, 0, 0, 1, 10, 0.1),

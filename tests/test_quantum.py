@@ -3,114 +3,107 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
 from peskit.circuit_search import canonical_layers, layer_pool, search_moves
-from peskit.quantum import (QuantumKernel, QubitLayer, apply_gate,
-                            build_fixed_ansatz, build_variable_ansatz, encode,
+from peskit.quantum import (QuantumKernel, QubitLayer, apply_layers,
+                            build_fixed_ansatz, build_variable_ansatz,
                             statevectors, zero_state)
-from quantum_oracle import (fidelity_kernel, fidelity_via_adjoint, gates,
-                            replay_states, statevector_for)
+from quantum_oracle import (angle, dense_gate, dense_layer, fidelity_kernel,
+                            fidelity_via_adjoint, gates, replay_states,
+                            statevector_for)
 
 rng = np.random.default_rng(42)
 
-_Y = np.array([[0, -1j], [1j, 0]])
-_Z = np.diag([1.0, -1.0]).astype(complex)
-_H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+
+def _random_batch(m, B):
+    """B random unit states, one per column: shape (2^m, B)."""
+    v = (rng.standard_normal((2 ** m, B))
+         + 1j * rng.standard_normal((2 ** m, B)))
+    return v / np.linalg.norm(v, axis=0)
 
 
-def _embed(op, m, q):
-    """Single-qubit operator on qubit q, little-endian basis order."""
-    return np.kron(np.kron(np.eye(2 ** (m - 1 - q)), op), np.eye(2 ** q))
-
-
-def _dense_gate(kind, qubits, m, angle=None):
-    if kind == "H":
-        return _embed(_H, m, qubits[0])
-    if kind == "RY":
-        return expm(-0.5j * angle * _embed(_Y, m, qubits[0]))
-    if kind == "RZ":
-        return expm(-0.5j * angle * _embed(_Z, m, qubits[0]))
-    i, j = qubits
-    zz = _embed(_Z, m, i) @ _embed(_Z, m, j)
-    return expm(-0.5j * angle * zz)
-
-
-def _random_state(m):
-    v = rng.standard_normal(2 ** m) + 1j * rng.standard_normal(2 ** m)
-    return v / np.linalg.norm(v)
-
-
-def _random_qubits(kind, m):
-    if kind == "RZZ":
-        i, j = sorted(rng.choice(m, size=2, replace=False))
-        return (int(i), int(j))
-    return (int(rng.integers(m)),)
+def _random_params(m):
+    return build_variable_ansatz(m, ()).default_params().with_values(
+        rng.uniform(0.5, 2.0, m + 1))
 
 
 @pytest.mark.parametrize("kind", ["H", "RZ", "RY", "RZZ"])
 def test_apply_gate_matches_dense_oracle(kind):
-    m = 3
-    for _ in range(10):
-        qubits = _random_qubits(kind, m)
-        angle = float(rng.uniform(-2 * math.pi, 2 * math.pi))
-        psi = _random_state(m)
-        got = apply_gate(psi.copy(), kind, qubits, angle)
-        want = _dense_gate(kind, qubits, m, angle) @ psi
-        assert np.max(np.abs(got - want)) < 1e-12
+    # every layer of this kind, every R_ZZ matching for RZZ, on a batch
+    # with one input row per column
+    for m in (2, 3, 4):
+        layers = layer_pool(m) if kind == "RZZ" else (QubitLayer(kind),)
+        for layer in layers:
+            B = 5
+            pv = _random_params(m)
+            X = rng.uniform(-2 * math.pi, 2 * math.pi, (B, m))
+            psi = _random_batch(m, B)
+            got = apply_layers(psi.copy(), (layer,), pv, X)
+            for b in range(B):
+                want = dense_layer(layer, m, pv, X[b]) @ psi[:, b]
+                assert np.max(np.abs(got[:, b] - want)) < 1e-12
 
 
-@pytest.mark.parametrize("gate", [("RZ", (1,)), ("RZZ", (0, 2))])
+@pytest.mark.parametrize("gate", [(3, QubitLayer("RZ")),
+                                  (4, ((0, 2), (1, 3)))])
 def test_diagonal_gate_equals_elementwise_phase_exactly(gate):
-    # the phase exp(-i phi s / 2), s = +-1, taken per basis state: the
-    # gate's one-exponential-per-angle form must reproduce it bit for bit,
-    # on a batch of 50 states held one per column with one angle each
-    kind, qubits = gate
-    z = np.array([1.0 - 2.0 * ((np.arange(8) >> q) & 1) for q in range(3)])
-    s = np.prod(z[list(qubits)], axis=0)
-    angles = rng.uniform(-20, 20, 50)
-    psi = np.stack([_random_state(3) for _ in range(50)], axis=1)
-    got = apply_gate(psi.copy(), kind, qubits, angles)
-    assert np.array_equal(got, psi * np.exp(-0.5j * angles[None, :] * s[:, None]))
-    # one scalar angle applies to every column alike
-    got = apply_gate(psi.copy(), kind, qubits, angles[0])
-    assert np.array_equal(got, psi * np.exp(-0.5j * angles[0] * s[:, None]))
+    # the phase exp(-i phi s / 2), s = +-1, taken per basis state and gate:
+    # the layer's one-exponential-per-angle form must reproduce it bit for
+    # bit, on a batch of 50 states held one per column, each with its input
+    m, layer = gate
+    z = np.array([1.0 - 2.0 * ((np.arange(2 ** m) >> q) & 1)
+                  for q in range(m)])
+    pv = _random_params(m)
+    X = rng.uniform(-20, 20, (50, m))
+    psi = _random_batch(m, 50)
+    got = apply_layers(psi.copy(), (layer,), pv, X)
+    want = psi
+    for kind, qubits in gates(QuantumKernel(m, (layer,), "variable")):
+        s = np.prod(z[list(qubits)], axis=0)
+        phi = angle(kind, qubits, pv, X)
+        want = want * np.exp(-0.5j * phi[None, :] * s[:, None])
+    assert np.array_equal(got, want)
 
 
 def test_apply_gate_batched_angles():
-    # a batch holds one state per column, and angle b turns column b
-    angles = rng.uniform(-3, 3, 4)
-    psi = np.stack([_random_state(2) for _ in range(4)], axis=1)
-    got = apply_gate(psi.copy(), "RY", (1,), angles)
-    for b in range(4):
-        want = _dense_gate("RY", (1,), 2, angles[b]) @ psi[:, b]
+    # a batch holds one state per column, and input row b turns column b
+    m, B = 2, 4
+    layers = (QubitLayer("RY"), ((0, 1),), QubitLayer("RZ"))
+    pv = _random_params(m)
+    X = rng.uniform(-3, 3, (B, m))
+    psi = _random_batch(m, B)
+    got = apply_layers(psi.copy(), layers, pv, X)
+    for b in range(B):
+        want = psi[:, b]
+        for layer in layers:
+            want = dense_layer(layer, m, pv, X[b]) @ want
         assert np.max(np.abs(got[:, b] - want)) < 1e-12
 
 
 def test_batched_gates_equal_single_state_gates_exactly():
-    # every gate on a (2^m, B) batch equals the same gate on each column
-    # alone, bit for bit, at every qubit
+    # every layer on a (2^m, B) batch equals the same layer on each column
+    # alone, bit for bit
     m, B = 4, 9
-    psi = np.stack([_random_state(m) for _ in range(B)], axis=1)
-    for kind in ("H", "RZ", "RY", "RZZ"):
-        for qubits in ([(q,) for q in range(m)] if kind != "RZZ"
-                       else [(0, 1), (0, 3), (1, 2), (2, 3)]):
-            angles = None if kind == "H" else rng.uniform(-4, 4, B)
-            got = apply_gate(psi.copy(), kind, qubits, angles)
-            for b in range(B):
-                one = apply_gate(psi[:, b].copy(), kind, qubits,
-                                 None if angles is None else angles[b])
-                assert np.array_equal(got[:, b], one)
+    pv = _random_params(m)
+    X = rng.uniform(-4, 4, (B, m))
+    psi = _random_batch(m, B)
+    for layer in search_moves(m):
+        got = apply_layers(psi.copy(), (layer,), pv, X)
+        for b in range(B):
+            one = apply_layers(psi[:, b:b + 1].copy(), (layer,), pv,
+                               X[b:b + 1])
+            assert np.array_equal(got[:, b], one[:, 0])
 
 
 def test_norm_preserved_over_many_gates():
     m = 3
-    psi = zero_state(m)
+    moves = search_moves(m)
+    pv = _random_params(m)
+    psi = zero_state(m, 4)
     for _ in range(2000):
-        kind = ("H", "RZ", "RY", "RZZ")[rng.integers(4)]
-        apply_gate(psi, kind, _random_qubits(kind, m),
-                   float(rng.uniform(-math.pi, math.pi)))
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-12
+        X = rng.uniform(-math.pi, math.pi, (4, m))
+        apply_layers(psi, (moves[rng.integers(len(moves))],), pv, X)
+    assert np.max(np.abs(np.linalg.norm(psi, axis=0) - 1.0)) < 1e-12
 
 
 def test_gate_op_validation():
@@ -118,30 +111,13 @@ def test_gate_op_validation():
     for kind in ("RZZ", "ID", "CNOT"):
         with pytest.raises(ValueError, match="no single-qubit layer"):
             QubitLayer(kind)
-    # a gate has a known kind, its number of qubits, each in range
-    psi = zero_state(3)
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        apply_gate(psi, "CNOT", (0, 1))
-    with pytest.raises(ValueError, match="unknown gate kind"):
-        apply_gate(psi, "ID", (0,))
-    with pytest.raises(ValueError, match="takes 1"):
-        apply_gate(psi, "H", (0, 1))
-    with pytest.raises(ValueError, match="takes 2"):
-        apply_gate(psi, "RZZ", (1,), 0.3)
-    with pytest.raises(IndexError, match="out of range"):
-        apply_gate(psi, "H", (3,))
-    with pytest.raises(IndexError, match="out of range"):
-        apply_gate(psi, "RZZ", (0, 5), 0.3)
-    # every rotation needs its angle; only H takes none
-    for kind, qubits in (("RZ", (0,)), ("RY", (1,)), ("RZZ", (0, 2))):
-        with pytest.raises(ValueError, match="needs an angle"):
-            apply_gate(psi, kind, qubits)
-        # a single state takes one angle, a batch one per column
-        with pytest.raises(ValueError, match="does not match the batch"):
-            apply_gate(psi, kind, qubits, np.full(2, 0.3))
-        with pytest.raises(ValueError, match="does not match the batch"):
-            apply_gate(zero_state(3, batch=4), kind, qubits, np.full(3, 0.3))
-    assert np.array_equal(psi, zero_state(3))  # no refused gate touched it
+    # a rotation layer takes an encoding scale for every qubit
+    psi = zero_state(3, 2)
+    pv = build_variable_ansatz(2, ()).default_params()
+    for kind in ("RZ", "RY"):
+        with pytest.raises(ValueError, match="no encoding scale"):
+            apply_layers(psi, (QubitLayer(kind),), pv, np.zeros((2, 3)))
+    assert np.array_equal(psi, zero_state(3, 2))  # no refused layer touched it
 
 
 def test_circuit_layer_constraint():
@@ -232,15 +208,26 @@ def test_circuit_json_round_trip():
 
 
 def test_encoding_values():
-    kernel = build_variable_ansatz(3, (((0, 2),),))
-    pv = kernel.default_params().with_values([2.0, 4.0, 0.5, 3.0])
-    x = np.array([0.6, 0.2, 0.9])
-    assert encode(x, pv, "RY", (0,)) == pytest.approx(0.3)
-    assert encode(x, pv, "RY", (2,)) == pytest.approx(1.8)
-    want = math.exp(-((0.6 - 0.9) ** 2) / 3.0)
-    assert encode(x, pv, "RZZ", (0, 2)) == pytest.approx(want)
-    with pytest.raises(ValueError):
-        encode(x, pv, "H", (0,))
+    # R_Y / R_Z on qubit i turn by x_i / theta_i, R_ZZ on (i, j) by
+    # exp(-(x_i - x_j)^2 / Theta), read off the states of one layer
+    pv = build_variable_ansatz(3, ()).default_params().with_values(
+        [2.0, 4.0, 0.5, 3.0])
+    X = np.array([[0.6, 0.2, 0.9]])
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1  # bit q of index k
+    phi = np.array([0.3, 0.05, 1.8])
+    psi = apply_layers(zero_state(3, 1), (QubitLayer("RY"),), pv, X)[:, 0]
+    want = np.prod(np.where(bits, np.sin(phi / 2), np.cos(phi / 2)), axis=1)
+    assert np.max(np.abs(psi - want)) < 1e-12
+    z = 1.0 - 2.0 * bits
+    uniform = np.full(8, 1 / math.sqrt(8))
+    psi = apply_layers(zero_state(3, 1), (QubitLayer("H"), QubitLayer("RZ")),
+                       pv, X)[:, 0]
+    assert np.max(np.abs(psi - uniform * np.exp(-0.5j * z @ phi))) < 1e-12
+    zz = math.exp(-((0.6 - 0.9) ** 2) / 3.0)
+    psi = apply_layers(zero_state(3, 1), (QubitLayer("H"), ((0, 2),)),
+                       pv, X)[:, 0]
+    want = uniform * np.exp(-0.5j * zz * z[:, 0] * z[:, 2])
+    assert np.max(np.abs(psi - want)) < 1e-12
 
 
 def test_fidelity_identities():
@@ -349,21 +336,18 @@ def test_variable_ansatz_single_qubit_layers():
     theta = np.array([2.0, 4.0, 0.5])
     pv = kernel.default_params().with_values(list(theta) + [3.0])
     x = np.array([0.6, 0.2, 0.9])
-    for kind in ("RZ", "RY"):
-        for q in range(3):
-            assert encode(x, pv, kind, (q,)) == pytest.approx(x[q] / theta[q])
     # the state equals the dense product with angles x_i / theta_i
     want = np.zeros(8, dtype=complex)
     want[0] = 1.0
     zz = math.exp(-((x[0] - x[2]) ** 2) / 3.0)
     for kind, qubits in gates(kernel):
         if kind == "H":
-            angle = None
+            phi = None
         elif kind == "RZZ":
-            angle = zz
+            phi = zz
         else:
-            angle = x[qubits[0]] / theta[qubits[0]]
-        want = _dense_gate(kind, qubits, 3, angle) @ want
+            phi = x[qubits[0]] / theta[qubits[0]]
+        want = dense_gate(kind, qubits, 3, phi) @ want
     assert np.max(np.abs(statevector_for(kernel, pv, x) - want)) < 1e-12
     assert np.max(np.abs(statevectors(3, kernel.layers, pv, x)[0]
                          - want)) < 1e-12

@@ -7,6 +7,7 @@ zero-layer baseline and the fixed all-pairs ansatz, all trained on
 standardized energies with a small regularization noise.
 
 Run:  python3 demos/circuit_search_demo.py
+``main(n_train)`` runs the same protocol on ``2 * n_train`` points.
 """
 
 from peskit.bench import ExperimentConfig, load_dataset
@@ -18,15 +19,14 @@ from peskit.quantum import build_fixed_ansatz, build_variable_ansatz
 
 SIGMA_N = 0.1  # keeps the surrogate objective off its floor at N=300
 CONFIG = ExperimentConfig(
-    dataset={"kind": "synthetic", "dims": 3, "n_points": 600, "seed": 0,
-             "pes": "coupled-morse"},
+    dataset={"kind": "synthetic", "dims": 3, "seed": 0, "pes": "coupled-morse"},
     families=["quantum-variable"], seeds=[0], beam_width=9, refine_budget=40,
     final_budget=200, max_depth=8, sigma_n=SIGMA_N)
 
 
-def main():
-    data = load_dataset(CONFIG.dataset)
-    split = split_random(data, 300, seed=stable_seed("demo", 0))
+def main(n_train=300):
+    data = load_dataset({**CONFIG.dataset, "n_points": 2 * n_train})
+    split = split_random(data, n_train, seed=stable_seed("demo", 0))
     train, test = data.subset(split.train), data.subset(split.test)
     # the search fits the targets it is given: standardize them first
     ys, mean, scale = standardize(train.y)

@@ -24,7 +24,7 @@ from .data import PES_KINDS, Dataset, DataError, load_csv, \
     split_energy_threshold, split_random, standardize, synth_pes, write_rows
 from .gp import TraceRow, bic, fit, predict, rmse
 from .kernel_search import search_classical
-from .kernels import ClassicalKernel, Leaf, param_vector, serialize
+from .kernels import ClassicalKernel, Leaf, param_vector
 from .nngp import search_depth
 from .optimizer import maximize_logl, stable_seed
 # unused here; perfbench/tests/test_tracer.py reads bench.maximize
@@ -229,47 +229,25 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 # per-family model construction
 
-def _fit_rbf(train, cfg, seed):
-    expr = Leaf(kind="RBF", params=(1.0,), coef=None)
-    kernel = ClassicalKernel(expr=expr)
-    pv = param_vector(expr)
-    res = maximize_logl(kernel, pv, train.X, train.y, cfg.classical_budget,
-                        stable_seed(seed, "rbf"), cfg.sigma_n)
-    return kernel, pv.with_values(res.best_point), None, serialize(expr)
-
-
-def _fit_composite(train, cfg, seed):
-    expr, params, trace = search_classical(train, cfg, seed)
-    return ClassicalKernel(expr=expr), params, trace, serialize(expr)
-
-
-def _fit_nngp(train, cfg, seed):
-    kernel, params, trace = search_depth(train, cfg, seed)
-    winner = json.dumps({"depth": kernel.depth,
-                         "params": params.values.tolist()})
-    return kernel, params, trace, winner
-
-
-def _fit_quantum_fixed(train, cfg, seed):
-    kernel = build_fixed_ansatz(train.dims)
-    pv = kernel.default_params()
-    res = maximize_logl(kernel, pv, train.X, train.y, cfg.final_budget,
-                        stable_seed(seed, "quantum-fixed"), cfg.sigma_n)
-    return kernel, pv.with_values(res.best_point), None, kernel.to_json()
-
-
-def _fit_quantum_variable(train, cfg, seed):
-    kernel, params, trace = search_circuit(train, cfg, seed)
-    return kernel, params, trace, kernel.to_json()
-
-
-_FITTERS = {
-    "rbf": _fit_rbf,
-    "composite": _fit_composite,
-    "nngp": _fit_nngp,
-    "quantum-fixed": _fit_quantum_fixed,
-    "quantum-variable": _fit_quantum_variable,
-}
+def _fit_family(family, train, cfg, seed):
+    """(kernel, fitted ParamVector, SearchTrace or None) of ``family`` on
+    ``train``. Each search is looked up by this module's name at call time,
+    so a wrapper put on that name runs; the two fixed kernels share a fit."""
+    if family == "composite":
+        return search_classical(train, cfg, seed)
+    if family == "nngp":
+        return search_depth(train, cfg, seed)
+    if family == "quantum-variable":
+        return search_circuit(train, cfg, seed)
+    if family == "rbf":
+        kernel = ClassicalKernel(expr=Leaf(kind="RBF", params=(1.0,)))
+        pv, budget = param_vector(kernel.expr), cfg.classical_budget
+    else:
+        kernel = build_fixed_ansatz(train.dims)
+        pv, budget = kernel.default_params(), cfg.final_budget
+    res = maximize_logl(kernel, pv, train.X, train.y, budget,
+                        stable_seed(seed, family), cfg.sigma_n)
+    return kernel, pv.with_values(res.best_point), None
 
 
 def _run_cell(family, data, split, size, seed, cfg):
@@ -278,7 +256,7 @@ def _run_cell(family, data, split, size, seed, cfg):
     # the one place targets are standardized; RMSE stays in cm^-1
     ys, mean, scale = standardize(train.y)
     train_std = Dataset(X=train.X, y=ys)
-    kernel, params, trace, winner = _FITTERS[family](train_std, cfg, seed)
+    kernel, params, trace = _fit_family(family, train_std, cfg, seed)
     gp = fit(kernel, params, train_std.X, train_std.y, sigma_n=cfg.sigma_n)
     score = kernel.objective(gp.logL)
     n_test = int(split.test.size)
@@ -289,7 +267,7 @@ def _run_cell(family, data, split, size, seed, cfg):
                     score=score, criterion=bic(score, params.size, train.n),
                     M=params.size, n_test=n_test,
                     wall_time=time.perf_counter() - t0)
-    return row, trace, winner
+    return row, trace, kernel.describe(params)
 
 
 def _run_cells(cells, cfg):

@@ -87,7 +87,8 @@ class Candidate:
     log_o: float = -np.inf
     beta_score: float = -np.inf
     refined: bool = False
-    protected: bool = False  # the depth-0 baseline never counts against M
+    # the depth-0 baseline, kept outside the beam width (M is m + 1 for all)
+    protected: bool = False
 
     @property
     def key(self):
@@ -165,7 +166,7 @@ def screen(candidates, data, cfg) -> BeamState:
             parent = (circuit.layers[:-2], c.params.tobytes())
             if parent != prefix_key:
                 prefix_key, prefix = parent, _prefix_states(circuit, pv, X)
-            kernel = _ChildKernel(circuit.m, circuit.layers, circuit.encoding,
+            kernel = _ChildKernel(circuit.m, circuit.layers,
                                   _child_states(prefix, circuit, pv, X))
             try:
                 c.log_o = kernel.objective(log_marginal_likelihood(

@@ -83,11 +83,14 @@ def cmd_bench(args, run):
 
 
 def cmd_report(args):
-    out_dir = args.out
+    out_dir = ExperimentConfig.out_dir  # the config's default
     if args.config:
-        cfg = ExperimentConfig.from_json(args.config)
-        out_dir = out_dir or cfg.out_dir
-    results = Path(out_dir or "results") / "results.csv"
+        out_dir = ExperimentConfig.from_json(args.config).out_dir
+    if args.out is not None:
+        out_dir = args.out
+    if not out_dir:  # refused as ExperimentConfig refuses it
+        raise ConfigError("out_dir must be a nonempty string")
+    results = Path(out_dir) / "results.csv"
     if not results.exists():
         raise DataError(f"no results table at {results}")
     table = ResultTable.from_csv(results)

@@ -12,6 +12,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -90,9 +91,9 @@ def transform(R, a):
     return np.exp(-R / a)
 
 
-def default_transform_scale(source: str) -> float:
-    """2.5 for H3O+-tagged sources, 1.0 otherwise."""
-    return 2.5 if "h3o" in source.lower().replace("_", "") else 1.0
+def default_transform_scale(path) -> float:
+    """2.5 if the file name (not a directory) has the H3O+ tag, else 1.0."""
+    return 2.5 if "h3o" in Path(path).name.lower().replace("_", "") else 1.0
 
 
 def load_csv(path, a=None) -> Dataset:
@@ -132,7 +133,7 @@ def load_csv(path, a=None) -> Dataset:
     arr = np.asarray(rows, dtype=float)
     R, y = arr[:, :-1], arr[:, -1]
     if a is None:
-        a = default_transform_scale(str(path))
+        a = default_transform_scale(path)
     return Dataset(X=transform(R, a), y=y)
 
 

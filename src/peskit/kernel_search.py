@@ -72,9 +72,9 @@ def search_classical(data, cfg, seed, bases=DEFAULT_BASES):
     It reads ``classical_budget``, ``final_budget``, ``max_depth`` and
     ``sigma_n`` of ``cfg`` and seeds every fit from the cell ``seed``. The
     search fits ``data.y`` as given; a caller passes z-scored
-    targets, as ``bench._run_cell`` does. Returns (best expression, fitted
-    ParamVector, SearchTrace); each trace row's criterion is the step's best
-    BIC and its score that candidate's logL.
+    targets, as ``bench._run_cell`` does. Returns (ClassicalKernel of the
+    best expression, fitted ParamVector, SearchTrace); each trace row's
+    criterion is the step's best BIC and its score that candidate's logL.
     """
     X, y = data.X, data.y
     dists = pdist(X)
@@ -112,4 +112,4 @@ def search_classical(data, cfg, seed, bases=DEFAULT_BASES):
     # final re-fit: never below best, as maximize starts from best's point
     best = _optimize_candidate(best.expr, X, y, cfg, seed, cfg.final_budget,
                                p_scale)
-    return best.expr, param_vector(best.expr, p_scale=p_scale), trace
+    return ClassicalKernel(best.expr), param_vector(best.expr, p_scale), trace

@@ -268,3 +268,7 @@ class ClassicalKernel(KernelFn):
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         return gram_expr(with_params(self.expr, params.values), X, X2)
+
+    def describe(self, params: ParamVector) -> str:
+        """The winner-file form: the fitted expression, serialized."""
+        return serialize(with_params(self.expr, params.values))

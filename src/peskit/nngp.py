@@ -8,6 +8,7 @@ training log-likelihood plateaus or reaches the config's ``nngp_max_depth``.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -84,6 +85,11 @@ class NNGPKernel(KernelFn):
             kx = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(2.0 * kx / (1.0 + 2.0 * kx))
             kx2 = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(2.0 * kx2 / (1.0 + 2.0 * kx2))
         return K
+
+    def describe(self, params: ParamVector) -> str:
+        """The winner-file form: the depth and the fitted scales."""
+        return json.dumps({"depth": self.depth,
+                           "params": params.values.tolist()})
 
 
 def search_depth(data, cfg, seed):

@@ -185,8 +185,7 @@ class QuantumKernel(KernelFn):
     """The fidelity kernel of an m-qubit circuit given as its layers.
 
     Each layer is a QubitLayer or an R_ZZ matching: pairs (i, j) with
-    i < j, no qubit in two pairs. ``encoding`` ("fixed" or "variable")
-    names the ansatz in the winner file. Trainable parameters are
+    i < j, no qubit in two pairs. Trainable parameters are
     [theta_1 .. theta_m, Theta]: per-qubit scales for the single-qubit
     rotation angles x_i / theta_i and one shared scale for all R_ZZ angles
     exp(-(x_i - x_j)^2 / Theta). M = m + 1.
@@ -198,11 +197,8 @@ class QuantumKernel(KernelFn):
 
     m: int
     layers: tuple
-    encoding: str
 
     def __post_init__(self):
-        if self.encoding not in ("fixed", "variable"):
-            raise ValueError(f"unknown encoding {self.encoding!r}")
         for layer in self.layers:
             seen = set()
             for i, j in layer:
@@ -226,13 +222,14 @@ class QuantumKernel(KernelFn):
                            upper=np.full(m + 1, hi),
                            scales=("log",) * (m + 1))
 
-    def to_json(self) -> str:
-        """The winner-file form: every layer written out gate by gate."""
+    def describe(self, params: ParamVector) -> str:
+        """The winner-file form: every layer written out gate by gate,
+        then the fitted scales."""
         return json.dumps({"m": self.m,
                            "layers": [[{"gate": kind, "qubits": list(qubits)}
                                        for kind, qubits in _gates(layer, self.m)]
                                       for layer in self.layers],
-                           "encoding": self.encoding})
+                           "params": params.values.tolist()})
 
     def states(self, X, params: ParamVector) -> np.ndarray:
         """The encoded states of the rows of ``X``, from which ``gram`` works."""
@@ -297,7 +294,7 @@ def build_fixed_ansatz(m) -> QuantumKernel:
         raise ValueError("fixed ansatz needs m >= 2")
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     u_block = [QubitLayer("RZ")] + _pair_layers(pairs)
-    return QuantumKernel(m, tuple([_H] + u_block + [_H] + u_block), "fixed")
+    return QuantumKernel(m, tuple([_H] + u_block + [_H] + u_block))
 
 
 def build_variable_ansatz(m, layers) -> QuantumKernel:
@@ -307,4 +304,4 @@ def build_variable_ansatz(m, layers) -> QuantumKernel:
     data-encoded with the same angles x_i / theta_i as the final R_Y layer,
     so the parameters stay [theta_1 .. theta_m, Theta] at any depth.
     """
-    return QuantumKernel(m, (_H, *layers, QubitLayer("RY")), "variable")
+    return QuantumKernel(m, (_H, *layers, QubitLayer("RY")))

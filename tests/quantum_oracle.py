@@ -5,9 +5,11 @@ after another on every row: no data-free head simulated once, no parent
 prefix reused, no angle computed for a whole layer at once. Each gate
 takes its own encoded angle and goes through the simulator's private gate
 kernels. ``dense_gate`` and ``dense_layer`` give the same gates as dense
-matrices. Tests only; the library never imports it.
+matrices, and ``read_winner`` rebuilds a kernel and its scales from a
+winner file. Tests only; the library never imports it.
 """
 
+import json
 import math
 
 import numpy as np
@@ -63,7 +65,7 @@ def dense_layer(layer, m, params, x):
     """The dense product of ``layer``'s gates at the angles input ``x``
     encodes."""
     U = np.eye(2 ** m, dtype=complex)
-    for kind, qubits in gates(QuantumKernel(m, (layer,), "variable")):
+    for kind, qubits in gates(QuantumKernel(m, (layer,))):
         phi = None if kind == "H" else angle(kind, qubits, params, x[None])[0]
         U = dense_gate(kind, qubits, m, phi) @ U
     return U
@@ -124,3 +126,21 @@ def fidelity_via_adjoint(kernel, params, x, xp):
     for kind, qubits in reversed(gates(kernel)):
         _apply(psi, kind, qubits, params, Xp, adjoint=True)
     return float(np.abs(psi[0, 0]) ** 2)
+
+
+def read_winner(text):
+    """(kernel, fitted ParamVector) rebuilt from a quantum winner file: a
+    layer of RZZ gates is a matching, any other a full layer of one
+    single-qubit kind."""
+    doc = json.loads(text)
+    layers = []
+    for layer in doc["layers"]:
+        kinds = {g["gate"] for g in layer}
+        if kinds == {"RZZ"}:
+            layers.append(tuple(tuple(g["qubits"]) for g in layer))
+        else:
+            (kind,) = kinds
+            assert [g["qubits"] for g in layer] == [[q] for q in range(doc["m"])]
+            layers.append(QubitLayer(kind))
+    kernel = QuantumKernel(doc["m"], tuple(layers))
+    return kernel, kernel.default_params().with_values(doc["params"])

@@ -361,23 +361,22 @@ def test_composite_search_improves_on_single_bases():
         train, test = data.subset(split.train), data.subset(split.test)
         ys, mean, scale = standardize(train.y)
 
-        def holdout(expr, pv):
-            gp = fit(ClassicalKernel(expr=expr), pv, train.X, ys,
-                     sigma_n=0.0, jitter=1e-10)
+        def holdout(kernel, pv):
+            gp = fit(kernel, pv, train.X, ys, sigma_n=0.0, jitter=1e-10)
             return rmse(mean + scale * predict(gp, test.X), test.y)
 
         cfg = search_config(classical_budget=30, final_budget=100)
-        expr, pv, trace = search_classical(replace(train, y=ys), cfg,
-                                           stable_seed(seed, "cls"))
+        kernel, pv, trace = search_classical(replace(train, y=ys), cfg,
+                                             stable_seed(seed, "cls"))
         # iteration 0 scores exactly the single-base pool
         gains.append(trace.rows[-1].criterion - trace.rows[0].criterion)
-        comp_rmse.append(holdout(expr, pv))
+        comp_rmse.append(holdout(kernel, pv))
 
         rbf_cfg = replace(cfg, max_depth=1)
-        rexpr, rpv, _ = search_classical(replace(train, y=ys), rbf_cfg,
-                                         stable_seed(seed, "cls"),
-                                         bases=("RBF",))
-        rbf_rmse.append(holdout(rexpr, rpv))
+        rkernel, rpv, _ = search_classical(replace(train, y=ys), rbf_cfg,
+                                           stable_seed(seed, "cls"),
+                                           bases=("RBF",))
+        rbf_rmse.append(holdout(rkernel, rpv))
     assert min(gains) >= 1.0
     assert np.median(comp_rmse) <= np.median(rbf_rmse)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,13 @@ from peskit import bench, cli
 from peskit.bench import (FAMILIES, ConfigError, ExperimentConfig, ResultRow,
                           ResultTable, emit_reports, load_dataset,
                           run_extrapolation, run_interpolation, summarize)
-from peskit.data import DataError
-from peskit.gp import bic, surrogate_objective
+from peskit.data import DataError, split_random, standardize
+from peskit.gp import bic, fit, surrogate_objective
+from peskit.kernels import ClassicalKernel, Leaf, param_vector
+from peskit.nngp import NNGPKernel
+from peskit.optimizer import stable_seed
+from peskit.quantum import build_fixed_ansatz
+from quantum_oracle import read_winner
 
 
 def _config(**overrides):
@@ -122,8 +128,6 @@ def test_splits_identical_across_families():
     table, _ = run_interpolation(cfg)
     by_family = {r.family: r for r in table.rows}
     assert by_family["rbf"].n_test == by_family["nngp"].n_test
-    from peskit.data import split_random
-    from peskit.optimizer import stable_seed
     data = load_dataset(cfg.dataset)
     s1 = split_random(data, 40, seed=stable_seed("interp", 40, 0))
     s2 = split_random(data, 40, seed=stable_seed("interp", 40, 0))
@@ -164,6 +168,34 @@ def test_row_score_is_the_fit_objective_and_criterion_its_bic(monkeypatch):
             assert row.score == logL
         assert row.M == M
         assert row.criterion == bic(row.score, row.M, 40)
+
+
+def test_every_winner_reproduces_its_row():
+    # a winner file holds the fitted kernel: rebuilt from its text and refit
+    # on the cell's standardized training set, it scores the row's score
+    cfg = ExperimentConfig.from_dict(_config(families=list(FAMILIES)))
+    table, artifacts = run_interpolation(cfg)
+    winners = artifacts["winners"]
+    data = load_dataset(cfg.dataset)
+    train = data.subset(
+        split_random(data, 40, seed=stable_seed("interp", 40, 0)).train)
+    ys = standardize(train.y)[0]
+    th = float(re.fullmatch(r"RBF\[th=(.+)\]", winners["rbf"]).group(1))
+    assert th != 1.0  # the fitted lengthscale, not the starting one
+    rbf = ClassicalKernel(expr=Leaf(kind="RBF", params=(th,)))
+    doc = json.loads(winners["nngp"])
+    nngp = NNGPKernel(depth=doc["depth"])
+    rebuilt = {"rbf": (rbf, param_vector(rbf.expr)),
+               "nngp": (nngp, nngp.default_params().with_values(doc["params"])),
+               "quantum-fixed": read_winner(winners["quantum-fixed"]),
+               "quantum-variable": read_winner(winners["quantum-variable"])}
+    assert rebuilt["quantum-fixed"][0] == build_fixed_ansatz(2)
+    for row in table.rows:
+        if row.family in rebuilt:
+            kernel, params = rebuilt[row.family]
+            assert kernel.describe(params) == winners[row.family]
+            gp = fit(kernel, params, train.X, ys, sigma_n=cfg.sigma_n)
+            assert kernel.objective(gp.logL) == row.score, row.family
 
 
 def test_nngp_row_score_is_its_trace_best():
@@ -381,6 +413,24 @@ def test_cli_bench_interp_and_report(tmp_path, capsys):
 
 def test_cli_report_without_results_is_data_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
+
+
+def test_cli_report_refuses_empty_out(tmp_path, capsys, monkeypatch):
+    # an empty --out is refused as fit refuses it, not read as the current
+    # directory or replaced by the config's or the default directory, even
+    # where those hold a table
+    monkeypatch.chdir(tmp_path)
+    path = _write_config(tmp_path, out_dir="results")
+    (tmp_path / "results").mkdir()
+    for table in (tmp_path / "results.csv",
+                  tmp_path / "results" / "results.csv"):
+        ResultTable(rows=[ResultRow("rbf", 40, 0, 5.0, 0, 0, 1, 10, 0.1)]
+                    ).to_csv(table)
+    for config in ([], ["--config", path]):
+        assert cli.main(["report", *config, "--out", ""]) == cli.EXIT_CONFIG
+        assert "out_dir must be a nonempty string" in capsys.readouterr().err
+    assert cli.main(["fit", "--config", path, "--out", ""]) == cli.EXIT_CONFIG
+    assert "out_dir must be a nonempty string" in capsys.readouterr().err
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -22,6 +22,9 @@ def test_default_transform_scale_tagging():
     assert default_transform_scale("H3O.csv") == 2.5
     assert default_transform_scale("h_3_o.csv") == 2.5
     assert default_transform_scale("h2co.csv") == 1.0
+    # the tag counts on the file name only, not on a directory
+    assert default_transform_scale("h3o_runs/h2co.csv") == 1.0
+    assert default_transform_scale("runs/h_3_o.csv") == 2.5
     assert default_transform_scale("synthetic") == 1.0
 
 

@@ -427,7 +427,7 @@ def test_nngp_arcsin_check_sees_later_blocks(monkeypatch):
 def _child_kernel(kernel, pv, X):
     """The kernel ``screen`` scores for ``kernel`` as a child on ``X``."""
     states = _child_states(_prefix_states(kernel, pv, X), kernel, pv, X)
-    return _ChildKernel(kernel.m, kernel.layers, kernel.encoding, states)
+    return _ChildKernel(kernel.m, kernel.layers, states)
 
 
 def test_quantum_nxn_fit_above_block_size_is_whole():

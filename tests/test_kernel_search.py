@@ -51,12 +51,13 @@ def test_expand_attaches_coef_to_bare_incumbent():
 
 def test_search_returns_fitted_winner_and_trace():
     data = _search_data(80, 0, 60)
-    expr, params, trace = _fast_search(data)
+    kernel, params, trace = _fast_search(data)
     assert isinstance(trace, SearchTrace)
     assert len(trace.rows) >= 1
     assert all(isinstance(r, TraceRow) for r in trace.rows)
     assert params.size >= 1
-    assert serialize(expr)  # canonical form exists
+    # the kernel holds the fitted expression: its winner text is its form
+    assert kernel.describe(params) == serialize(kernel.expr)
     # trace iterations are consecutive from zero
     assert [r.iteration for r in trace.rows] == list(range(len(trace.rows)))
 
@@ -70,9 +71,9 @@ def test_search_best_bic_trace_is_monotone():
 
 def test_search_is_deterministic():
     data = _search_data(70, 2, 50)
-    e1, p1, t1 = _fast_search(data)
-    e2, p2, t2 = _fast_search(data)
-    assert serialize(e1) == serialize(e2)
+    k1, p1, t1 = _fast_search(data)
+    k2, p2, t2 = _fast_search(data)
+    assert serialize(k1.expr) == serialize(k2.expr)
     assert np.array_equal(p1.values, p2.values)
     assert [r.criterion for r in t1] == [r.criterion for r in t2]
 

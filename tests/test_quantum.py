@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -9,8 +8,8 @@ from peskit.quantum import (QuantumKernel, QubitLayer, apply_layers,
                             build_fixed_ansatz, build_variable_ansatz,
                             statevectors, zero_state)
 from quantum_oracle import (angle, dense_gate, dense_layer, fidelity_kernel,
-                            fidelity_via_adjoint, gates, replay_states,
-                            statevector_for)
+                            fidelity_via_adjoint, gates, read_winner,
+                            replay_states, statevector_for)
 
 rng = np.random.default_rng(42)
 
@@ -58,7 +57,7 @@ def test_diagonal_gate_equals_elementwise_phase_exactly(gate):
     psi = _random_batch(m, 50)
     got = apply_layers(psi.copy(), (layer,), pv, X)
     want = psi
-    for kind, qubits in gates(QuantumKernel(m, (layer,), "variable")):
+    for kind, qubits in gates(QuantumKernel(m, (layer,))):
         s = np.prod(z[list(qubits)], axis=0)
         phi = angle(kind, qubits, pv, X)
         want = want * np.exp(-0.5j * phi[None, :] * s[:, None])
@@ -129,9 +128,7 @@ def test_circuit_layer_constraint():
                          (((0, 2), (1, 2)), "two pairs")):
         with pytest.raises(ValueError, match=match):
             build_variable_ansatz(3, (layer,))
-    with pytest.raises(ValueError, match="unknown encoding"):
-        QuantumKernel(2, (QubitLayer("H"),), "adaptive")
-    QuantumKernel(3, (QubitLayer("H"), ((0, 1),), ((0, 2),)), "variable")
+    QuantumKernel(3, (QubitLayer("H"), ((0, 1),), ((0, 2),)))
 
 
 _H3 = ('[{"gate": "H", "qubits": [0]}, {"gate": "H", "qubits": [1]}, '
@@ -163,48 +160,41 @@ _U6 = ('[{"gate": "RZ", "qubits": [0]}, {"gate": "RZ", "qubits": [1]}, '
        '[{"gate": "RZZ", "qubits": [2, 5]}, {"gate": "RZZ", "qubits": [3, 4]}]')
 
 
-def _read_circuit(text):
-    """Rebuild a kernel from its winner JSON: a layer of RZZ gates is a
-    matching, any other a full layer of one single-qubit kind."""
-    doc = json.loads(text)
-    layers = []
-    for layer in doc["layers"]:
-        kinds = {g["gate"] for g in layer}
-        if kinds == {"RZZ"}:
-            layers.append(tuple(tuple(g["qubits"]) for g in layer))
-        else:
-            (kind,) = kinds
-            assert [g["qubits"] for g in layer] == [[q] for q in range(doc["m"])]
-            layers.append(QubitLayer(kind))
-    return QuantumKernel(doc["m"], tuple(layers), doc["encoding"])
+def _fitted(kernel):
+    """``kernel`` with scales 0.25, 0.5, ..., exact in decimal."""
+    return kernel, kernel.default_params().with_values(
+        np.arange(1, kernel.m + 2) / 4)
 
 
 def test_circuit_json_round_trip():
     # the winner-file format, byte for byte
-    kernel = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
-    assert kernel.to_json() == (
+    kernel, pv = _fitted(build_variable_ansatz(3, (((0, 1),), ((1, 2),))))
+    assert kernel.describe(pv) == (
         '{"m": 3, "layers": [' + _H3 + ', [{"gate": "RZZ", "qubits": [0, 1]}]'
         ', [{"gate": "RZZ", "qubits": [1, 2]}], ' + _RY3 + '], '
-        '"encoding": "variable"}')
-    moves = build_variable_ansatz(3, (QubitLayer("H"), ((0, 2),),
-                                      QubitLayer("RZ"), QubitLayer("RY")))
-    assert moves.to_json() == (
+        '"params": [0.25, 0.5, 0.75, 1.0]}')
+    moves, mpv = _fitted(build_variable_ansatz(
+        3, (QubitLayer("H"), ((0, 2),), QubitLayer("RZ"), QubitLayer("RY"))))
+    assert moves.describe(mpv) == (
         '{"m": 3, "layers": [' + _H3 + ', ' + _H3 + ', '
         '[{"gate": "RZZ", "qubits": [0, 2]}], ' + _RZ3 + ', ' + _RY3 + ', '
-        + _RY3 + '], "encoding": "variable"}')
-    fixed = build_fixed_ansatz(3)
+        + _RY3 + '], "params": [0.25, 0.5, 0.75, 1.0]}')
+    fixed, fpv = _fitted(build_fixed_ansatz(3))
     block = ", ".join((_H3, _RZ3, _ZZ3))
-    assert fixed.to_json() == (
+    assert fixed.describe(fpv) == (
         '{"m": 3, "layers": [' + block + ", " + block + '], '
-        '"encoding": "fixed"}')
-    fixed6 = build_fixed_ansatz(6)
+        '"params": [0.25, 0.5, 0.75, 1.0]}')
+    fixed6, f6pv = _fitted(build_fixed_ansatz(6))
     block6 = _H6 + ", " + _U6
-    assert fixed6.to_json() == (
+    assert fixed6.describe(f6pv) == (
         '{"m": 6, "layers": [' + block6 + ", " + block6 + '], '
-        '"encoding": "fixed"}')
-    # the file holds all a reader needs to rebuild the kernel
-    for k in (kernel, moves, fixed, fixed6):
-        assert _read_circuit(k.to_json()) == k
+        '"params": [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]}')
+    # the file holds all a reader needs to rebuild the kernel and its scales
+    for k, pv in ((kernel, pv), (moves, mpv), (fixed, fpv), (fixed6, f6pv)):
+        back, back_pv = read_winner(k.describe(pv))
+        assert back == k
+        assert back_pv.values.tolist() == pv.values.tolist()
+        assert back.describe(back_pv) == k.describe(pv)
 
 
 def test_encoding_values():
@@ -316,7 +306,6 @@ def test_variable_ansatz_structure():
     kernel = build_variable_ansatz(3, (((0, 1),), ((1, 2),)))
     assert kernel.layers == (QubitLayer("H"), ((0, 1),), ((1, 2),),
                              QubitLayer("RY"))
-    assert kernel.encoding == "variable"
     assert kernel.default_params().size == 4
 
 

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
-
 from .circuit_search import search_circuit
 from .data import PES_KINDS, Dataset, DataError, load_csv, \
     split_energy_threshold, split_random, standardize, synth_pes, write_rows
@@ -279,19 +277,19 @@ def _run_cells(cells, cfg):
 
 
 def _collect(cells, cfg):
+    """Sorted rows; each cell's trace and winner keyed by the cell's name."""
     results = _run_cells(cells, cfg)
     table = ResultTable()
     traces, winners = {}, {}
     for cell, (row, trace, winner) in zip(cells, results):
         family, _, _, size, seed = cell
+        name = f"{family}_{_size_tag(size)}_{seed}"
         table.rows.append(row)
         if trace is not None:
-            traces[f"trace_{family}_{_size_tag(size)}_{seed}"] = trace
-        winners.setdefault(family, []).append((row.rmse, winner))
+            traces[name] = trace
+        winners[name] = winner
     table.rows.sort(key=lambda r: (r.family, r.size, r.seed))
-    best_winners = {fam: min(ws, key=lambda t: (np.nan_to_num(t[0], nan=np.inf)))[1]
-                    for fam, ws in winners.items()}
-    return table, {"traces": traces, "winners": best_winners}
+    return table, {"traces": traces, "winners": winners}
 
 
 def _size_tag(size):
@@ -339,12 +337,12 @@ def write_artifacts(artifacts, outdir):
         raise ComputeError(f"cannot create output directory {outdir}: {exc}")
     written = []
     for name, trace in artifacts.get("traces", {}).items():
-        path = out / f"{name}.csv"
+        path = out / f"trace_{name}.csv"
         write_rows(trace, TraceRow, path)
         written.append(path)
-    for family, winner in artifacts.get("winners", {}).items():
+    for name, winner in artifacts.get("winners", {}).items():
         suffix = "json" if winner.lstrip().startswith("{") else "txt"
-        path = out / f"winner_{family}.{suffix}"
+        path = out / f"winner_{name}.{suffix}"
         path.write_text(winner + "\n")
         written.append(path)
     return written
@@ -360,7 +358,7 @@ def emit_reports(table: ResultTable, artifacts, outdir):
 
 
 def summarize(table: ResultTable) -> str:
-    """Best-RMSE row per family, one line each."""
+    """Best-RMSE row per family; its size and seed name its winner file."""
     lines = ["best RMSE per kernel family"]
     best = {}
     for r in table.rows:

@@ -2,9 +2,9 @@
 
 ``fit`` and the ``search-*`` subcommands run the config's first
 (n_train, seed) cell through ``run_interpolation``, the path ``bench-interp``
-takes, so they reproduce its rows and winners. ``fit`` runs one cell per
-configured family; each search runs its own family's cell and writes that
-cell's trace and winner.
+takes, so they reproduce its rows and files. ``fit`` runs one cell per
+family; each search runs its own family's cell and writes that cell's
+``trace_<family>_<n>_<seed>.csv`` and ``winner_<family>_<n>_<seed>.*``.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 compute failure.
 """
@@ -70,7 +70,7 @@ def cmd_search(args, family):
     cfg = replace(_first_cell(args), families=[family])
     _, artifacts = run_interpolation(cfg)
     write_artifacts(artifacts, cfg.out_dir)
-    print(artifacts["winners"][family])
+    print(*artifacts["winners"].values())  # the one cell's winner
     return EXIT_OK
 
 

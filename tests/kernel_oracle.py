@@ -2,15 +2,18 @@
 
 Each base kernel is written out from its closed form, and ``eval_expr``
 evaluates a sum/product expression tree recursively, so the vectorized
-``kernels.gram_expr`` can be checked entry by entry. Tests only; the
-library never imports it.
+``kernels.gram_expr`` can be checked entry by entry. ``read_expr`` reads
+the ``kernels.serialize`` text of a classical winner file back into its
+tree. Tests only; the library never imports it.
 """
 
 import math
+import re
 
 import numpy as np
 
-from peskit.kernels import _MATERN_NU, Leaf, Sum, _matern_r
+from peskit.kernels import _KIND_PARAMS, _MATERN_NU, Leaf, Prod, Sum, \
+    _matern_r
 
 
 def eval_rbf(x, xp, theta):
@@ -63,3 +66,42 @@ def _leaf_scalar(leaf, x, xp):
     if k == "PER":
         return eval_periodic(x, xp, p[0], p[1])
     return eval_matern(x, xp, _MATERN_NU[k], p[0])
+
+
+# a node's optional coefficient, ``<repr float>*`` with no space, and a leaf,
+# ``KIND`` or ``KIND[name=value,...]``; a product's operator is `` * ``
+_COEF = re.compile(r"([0-9][0-9.e+-]*)\*")
+_LEAF = re.compile(r"([A-Z][A-Z0-9]*)(?:\[([^\]]*)\])?")
+
+
+def read_expr(text):
+    """The expression tree ``kernels.serialize`` wrote as ``text``. A node
+    printed with ``1.0*`` gets coefficient 1.0, one printed bare gets none,
+    so the tree flattens to the winner's own parameter vector."""
+    expr, end = _read_node(text, 0)
+    if end != len(text):
+        raise ValueError(f"trailing text at {end}: {text[end:]!r}")
+    return expr
+
+
+def _read_node(text, pos):
+    coef = None
+    m = _COEF.match(text, pos)
+    if m:
+        coef, pos = float(m.group(1)), m.end()
+    if text.startswith("(", pos):
+        left, pos = _read_node(text, pos + 1)
+        op = {" + ": Sum, " * ": Prod}[text[pos:pos + 3]]
+        right, pos = _read_node(text, pos + 3)
+        if not text.startswith(")", pos):
+            raise ValueError(f"expected ')' at {pos} in {text!r}")
+        return op(left=left, right=right, coef=coef), pos + 1
+    m = _LEAF.match(text, pos)
+    if not m:
+        raise ValueError(f"expected a base kernel at {pos} in {text!r}")
+    kind, body = m.groups()
+    pairs = [item.split("=") for item in body.split(",")] if body else []
+    if [name for name, _ in pairs] != list(_KIND_PARAMS[kind]):
+        raise ValueError(f"{kind} parameters {body!r} in {text!r}")
+    params = tuple(float(value) for _, value in pairs)
+    return Leaf(kind=kind, params=params, coef=coef), m.end()

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import re
 
 import numpy as np
 import pytest
@@ -11,10 +10,11 @@ from peskit.bench import (FAMILIES, ConfigError, ExperimentConfig, ResultRow,
                           run_extrapolation, run_interpolation, summarize)
 from peskit.data import DataError, split_random, standardize
 from peskit.gp import bic, fit, surrogate_objective
-from peskit.kernels import ClassicalKernel, Leaf, param_vector
+from peskit.kernels import ClassicalKernel, param_vector
 from peskit.nngp import NNGPKernel
 from peskit.optimizer import stable_seed
 from peskit.quantum import build_fixed_ansatz
+from kernel_oracle import read_expr
 from quantum_oracle import read_winner
 
 
@@ -135,12 +135,23 @@ def test_splits_identical_across_families():
 
 
 def test_threads_do_not_change_results():
-    cfg1 = ExperimentConfig.from_dict(_config(seeds=[0, 1]))
-    cfg2 = ExperimentConfig.from_dict(_config(seeds=[0, 1], threads=2))
-    t1, _ = run_interpolation(cfg1)
-    t2, _ = run_interpolation(cfg2)
+    # rows, every trace record but its wall time, and every cell's winner
+    cfg1 = ExperimentConfig.from_dict(_config(families=list(FAMILIES),
+                                              seeds=[0, 1]))
+    cfg2 = dataclasses.replace(cfg1, threads=2)
+    t1, a1 = run_interpolation(cfg1)
+    t2, a2 = run_interpolation(cfg2)
     assert [(r.rmse, r.score) for r in t1.rows] == \
         [(r.rmse, r.score) for r in t2.rows]
+
+    def records(artifacts):
+        return {name: [dataclasses.replace(r, wall_time=0.0) for r in trace]
+                for name, trace in artifacts["traces"].items()}
+
+    assert len(a1["traces"]) == 6  # composite, nngp, quantum-variable cells
+    assert records(a1) == records(a2)
+    assert len(a1["winners"]) == 10
+    assert a1["winners"] == a2["winners"]
 
 
 def test_row_score_is_the_fit_objective_and_criterion_its_bic(monkeypatch):
@@ -170,32 +181,46 @@ def test_row_score_is_the_fit_objective_and_criterion_its_bic(monkeypatch):
         assert row.criterion == bic(row.score, row.M, 40)
 
 
+def _rebuild(family, text):
+    """(kernel, fitted ParamVector) read back from a cell's winner text."""
+    if family in ("rbf", "composite"):
+        kernel = ClassicalKernel(expr=read_expr(text))
+        return kernel, param_vector(kernel.expr)
+    if family == "nngp":
+        doc = json.loads(text)
+        kernel = NNGPKernel(depth=doc["depth"])
+        return kernel, kernel.default_params().with_values(doc["params"])
+    return read_winner(text)
+
+
 def test_every_winner_reproduces_its_row():
-    # a winner file holds the fitted kernel: rebuilt from its text and refit
-    # on the cell's standardized training set, it scores the row's score
-    cfg = ExperimentConfig.from_dict(_config(families=list(FAMILIES)))
+    # each cell writes its own winner: the fitted kernel, which rebuilt from
+    # its text and refit on that cell's standardized training set scores
+    # that cell's row's score
+    cfg = ExperimentConfig.from_dict(_config(
+        families=list(FAMILIES), n_train=[30, 40], seeds=[0, 1],
+        classical_budget=12))
     table, artifacts = run_interpolation(cfg)
     winners = artifacts["winners"]
+    assert sorted(winners) == sorted(f"{r.family}_{r.size}_{r.seed}"
+                                     for r in table.rows)
+    assert len(table.rows) == 20
     data = load_dataset(cfg.dataset)
-    train = data.subset(
-        split_random(data, 40, seed=stable_seed("interp", 40, 0)).train)
-    ys = standardize(train.y)[0]
-    th = float(re.fullmatch(r"RBF\[th=(.+)\]", winners["rbf"]).group(1))
-    assert th != 1.0  # the fitted lengthscale, not the starting one
-    rbf = ClassicalKernel(expr=Leaf(kind="RBF", params=(th,)))
-    doc = json.loads(winners["nngp"])
-    nngp = NNGPKernel(depth=doc["depth"])
-    rebuilt = {"rbf": (rbf, param_vector(rbf.expr)),
-               "nngp": (nngp, nngp.default_params().with_values(doc["params"])),
-               "quantum-fixed": read_winner(winners["quantum-fixed"]),
-               "quantum-variable": read_winner(winners["quantum-variable"])}
-    assert rebuilt["quantum-fixed"][0] == build_fixed_ansatz(2)
     for row in table.rows:
-        if row.family in rebuilt:
-            kernel, params = rebuilt[row.family]
-            assert kernel.describe(params) == winners[row.family]
-            gp = fit(kernel, params, train.X, ys, sigma_n=cfg.sigma_n)
-            assert kernel.objective(gp.logL) == row.score, row.family
+        text = winners[f"{row.family}_{row.size}_{row.seed}"]
+        kernel, params = _rebuild(row.family, text)
+        assert kernel.describe(params) == text
+        assert params.size == row.M
+        if row.family == "rbf":  # the fitted lengthscale, not the start
+            assert kernel.expr.params != (1.0,)
+        if row.family == "quantum-fixed":
+            assert kernel == build_fixed_ansatz(2)
+        split = split_random(data, row.size,
+                             seed=stable_seed("interp", row.size, row.seed))
+        train = data.subset(split.train)
+        gp = fit(kernel, params, train.X, standardize(train.y)[0],
+                 sigma_n=cfg.sigma_n)
+        assert kernel.objective(gp.logL) == row.score, text
 
 
 def test_nngp_row_score_is_its_trace_best():
@@ -208,7 +233,7 @@ def test_nngp_row_score_is_its_trace_best():
         nngp_max_depth=3, sigma_n=0.1))
     table, artifacts = run_interpolation(cfg)
     (row,) = table.rows
-    trace = artifacts["traces"]["trace_nngp_100_1"]
+    trace = artifacts["traces"]["nngp_100_1"]
     assert row.score == max(r.score for r in trace)
 
 
@@ -255,9 +280,9 @@ def test_emit_reports_files_and_idempotency(tmp_path):
     names = {p.name for p in written}
     assert "results.csv" in names
     assert "summary.txt" in names
-    assert "winner_rbf.txt" in names
-    assert "winner_composite.txt" in names
-    assert any(n.startswith("trace_composite") for n in names)
+    assert {n for n in names if n.startswith("winner_")} == \
+        {"winner_rbf_40_0.txt", "winner_composite_40_0.txt"}
+    assert "trace_composite_40_0.csv" in names
     first = (tmp_path / "results.csv").read_text()
     emit_reports(table, artifacts, tmp_path)
     assert (tmp_path / "results.csv").read_text() == first
@@ -450,32 +475,50 @@ def test_cli_search_subcommands(tmp_path, capsys):
                                   "n_points": 70, "seed": 0,
                                   "pes": "coupled-morse"})
     assert cli.main(["search-classical", "--config", path]) == cli.EXIT_OK
-    assert (out_dir / "winner_composite.txt").exists()
+    assert (out_dir / "winner_composite_40_0.txt").exists()
     assert cli.main(["search-quantum", "--config", path]) == cli.EXIT_OK
-    winner = json.loads((out_dir / "winner_quantum-variable.json").read_text())
+    winner = json.loads(
+        (out_dir / "winner_quantum-variable_40_0.json").read_text())
     assert winner["m"] == 3
     assert cli.main(["search-nngp", "--config", path]) == cli.EXIT_OK
-    doc = json.loads((out_dir / "winner_nngp.json").read_text())
+    doc = json.loads((out_dir / "winner_nngp_40_0.json").read_text())
     assert doc["depth"] >= 1
+    assert sorted(p.name for p in out_dir.glob("winner_*")) == [
+        "winner_composite_40_0.txt", "winner_nngp_40_0.json",
+        "winner_quantum-variable_40_0.json"]
 
 
 def test_cli_fit_and_search_reproduce_bench_rows(tmp_path, capsys):
+    # one bench-interp run over both seeds writes one winner per cell; each
+    # search narrowed to a seed writes that cell's winner byte for byte
     bench_dir, search_dir = tmp_path / "bench", tmp_path / "search"
     path = _write_config(tmp_path, families=["rbf", "composite", "nngp"],
                          seeds=[0, 1])
-    assert cli.main(["bench-interp", "--config", path, "--seed", "1",
+    assert cli.main(["bench-interp", "--config", path,
                      "--out", str(bench_dir)]) == cli.EXIT_OK
     rows = ResultTable.from_csv(bench_dir / "results.csv").rows
-    capsys.readouterr()
-    assert cli.main(["fit", "--config", path, "--seed", "1"]) == cli.EXIT_OK
-    printed = capsys.readouterr().out.splitlines()
-    assert printed == [f"family={r.family} rmse={r.rmse:.4f} "
-                       f"criterion={r.criterion:.4f} M={r.M}" for r in rows]
-    for command, winner in (("search-classical", "winner_composite.txt"),
-                            ("search-nngp", "winner_nngp.json")):
-        assert cli.main([command, "--config", path, "--seed", "1",
-                         "--out", str(search_dir)]) == cli.EXIT_OK
-        assert (search_dir / winner).read_text() == \
-            (bench_dir / winner).read_text()
-    assert (search_dir / "trace_composite_40_1.csv").exists()
-    assert not (search_dir / "results.csv").exists()
+    assert sorted(p.name for p in bench_dir.glob("winner_*")) == [
+        f"winner_{family}_40_{seed}.{suffix}"
+        for family, suffix in (("composite", "txt"), ("nngp", "json"),
+                               ("rbf", "txt"))
+        for seed in (0, 1)]
+    for seed in (0, 1):
+        capsys.readouterr()
+        assert cli.main(["fit", "--config", path, "--seed", str(seed)]) \
+            == cli.EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        assert printed == [f"family={r.family} rmse={r.rmse:.4f} "
+                           f"criterion={r.criterion:.4f} M={r.M}"
+                           for r in rows if r.seed == seed]
+        for command, winner in (
+                ("search-classical", f"winner_composite_40_{seed}.txt"),
+                ("search-nngp", f"winner_nngp_40_{seed}.json")):
+            out = search_dir / str(seed)
+            assert cli.main([command, "--config", path, "--seed", str(seed),
+                             "--out", str(out)]) == cli.EXIT_OK
+            assert capsys.readouterr().out == \
+                (bench_dir / winner).read_text()
+            assert (out / winner).read_bytes() == \
+                (bench_dir / winner).read_bytes()
+        assert (out / f"trace_composite_40_{seed}.csv").exists()
+        assert not (out / "results.csv").exists()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kernel_oracle import (eval_dot, eval_expr, eval_matern, eval_periodic,
-                           eval_rbf, eval_rq)
+                           eval_rbf, eval_rq, read_expr)
 from peskit.kernels import (BASE_KINDS, COEF_BOUNDS, SHAPE_BOUNDS,
                             ClassicalKernel, Leaf, Prod, Sum, ensure_coef,
                             gram_expr, new_leaf, param_vector, serialize,
@@ -117,6 +117,26 @@ def test_serialize_is_exact():
     assert serialize(Leaf("RBF", (third,))) != serialize(Leaf("RBF", (up,)))
     assert (serialize(Leaf("RBF", (1.3,), coef=third))
             != serialize(Leaf("RBF", (1.3,), coef=up)))
+
+
+def test_read_expr_inverts_serialize():
+    # the tests' reader of winner text rebuilds the exact tree: a printed
+    # 1.0* coefficient stays a coefficient slot, a bare node has none
+    third = 1.0 / 3.0
+    for expr in (Leaf("DOT", ()), Leaf("RBF", (1.0,)),
+                 Leaf("RBF", (1.0,), coef=1.0),
+                 Sum(left=Leaf("RBF", (1.3,), coef=1.0),
+                     right=Prod(left=Leaf("MAT52", (third,), coef=1e-3),
+                                right=Leaf("PER", (2.0, 1.1)), coef=1.0)),
+                 Prod(left=Leaf("RQ", (1e-05, 1e+20)),
+                      right=Leaf("MAT12", (0.5,)), coef=2.5)):
+        assert read_expr(serialize(expr)) == expr
+    assert param_vector(read_expr("1.0*RBF[th=1.0]")).size == 2
+    assert param_vector(read_expr("RBF[th=1.0]")).size == 1
+    for bad in ("RBF", "RBF[th=1.0] ", "(DOT + DOT", "DOT + DOT",
+                "RQ[l=1.0,al=2.0]", "(DOT - DOT)"):
+        with pytest.raises((ValueError, KeyError)):
+            read_expr(bad)
 
 
 def test_param_vector_preorder_flattening():

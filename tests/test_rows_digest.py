@@ -27,7 +27,7 @@ def test_rows_digest_is_identical_across_runs(tmp_path):
     assert sum(line.startswith("row ") for line in lines) == 3
     assert any(line.startswith("trace_quantum-variable_30_0 ") for line in lines)
     assert [line.split()[1] for line in lines if line.startswith("winner ")] \
-        == ["quantum-fixed", "quantum-variable", "rbf"]
+        == ["quantum-fixed_30_0", "quantum-variable_30_0", "rbf_30_0"]
     assert "wall_time" not in first and "0x1." in first
 
 
@@ -38,8 +38,8 @@ row {"family": "rbf", "size": 30, "seed": 0, "rmse": "0x1.0000000000000p+7", "sc
 trace_rbf_30_0 {"iteration": 0, "n_candidates": 1, "winner": "RBF", "score": "0x1.8000000000000p+3", "criterion": "0x1.0000000000000p+3", "M": 1}
 row {"family": "quantum-variable", "size": 30, "seed": 0, "rmse": "0x1.4000000000000p+7", "score": "0x1.0000000000000p+3", "criterion": "0x1.0000000000000p+2", "M": 4}
 trace_quantum-variable_30_0 {"iteration": 0, "n_candidates": 7, "winner": "RY", "score": "0x1.0000000000000p+3", "criterion": "0x1.0000000000000p+2", "M": 4}
-winner quantum-variable {"m": 3, "layers": []}
-winner rbf RBF[th=1.0]
+winner quantum-variable_30_0 {"m": 3, "layers": []}
+winner rbf_30_0 RBF[th=1.0]
 """
 
 
@@ -71,7 +71,7 @@ def test_rows_diff_reports_moved_floats_and_changed_winners(tmp_path):
     assert lines[3:6] == [
         "changed fields: 2",
         "  trace_quantum-variable_30_0 0 winner: RY -> RY;H",
-        '  winner quantum-variable winner: {"m": 3, "layers": []} -> '
+        '  winner quantum-variable_30_0 winner: {"m": 3, "layers": []} -> '
         '{"m": 3, "layers": [1]}']
     # a record on one side only is listed, not paired
     rbf_row = '"family": "rbf", "size": 30, "seed": '

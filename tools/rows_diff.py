@@ -22,23 +22,29 @@ FLOATS = ("rmse", "score", "criterion")
 def parse(text):
     """{record key: (family, fields)} of one digest. Rows are keyed by
     (family, size, seed), trace records by (trace, iteration) and winner
-    files by family; a winner's one field is its text."""
+    files by cell, ``<family>_<size>_<seed>``; a winner's one field is its
+    text."""
     records = {}
     for line in text.splitlines():
         kind, rest = line.split(" ", 1)
         if kind == "winner":
-            family, text = rest.split(" ", 1)
-            records[("winner", family)] = (family, {"winner": text})
+            cell, text = rest.split(" ", 1)
+            records[("winner", cell)] = (_family(cell), {"winner": text})
             continue
         fields = json.loads(rest)
         if kind == "row":
             family = fields["family"]
             key = ("row", family, fields["size"], fields["seed"])
         else:  # trace_<family>_<size>_<seed>
-            family = kind[len("trace_"):].rsplit("_", 2)[0]
+            family = _family(kind[len("trace_"):])
             key = (kind, fields["iteration"])
         records[key] = (family, fields)
     return records
+
+
+def _family(cell):
+    """The family of a cell name ``<family>_<size>_<seed>``."""
+    return cell.rsplit("_", 2)[0]
 
 
 def _move(a, b):

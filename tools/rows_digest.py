@@ -40,9 +40,9 @@ def digest(doc):
     table, artifacts = run_interpolation(ExperimentConfig.from_dict(doc))
     lines = ["row " + json.dumps(_hex(r)) for r in table.rows]
     for name, trace in sorted(artifacts["traces"].items()):
-        lines += [f"{name} " + json.dumps(_hex(r)) for r in trace]
-    lines += [f"winner {fam} {w}"
-              for fam, w in sorted(artifacts["winners"].items())]
+        lines += [f"trace_{name} " + json.dumps(_hex(r)) for r in trace]
+    lines += [f"winner {name} {w}"
+              for name, w in sorted(artifacts["winners"].items())]
     return lines
 
 

@@ -74,10 +74,10 @@ def cmd_search(args, family):
     return EXIT_OK
 
 
-def cmd_bench(args, run):
+def cmd_bench(args, run, subdir=""):
     cfg = _load_config(args)
     table, artifacts = run(cfg)
-    emit_reports(table, artifacts, cfg.out_dir)
+    emit_reports(table, artifacts, Path(cfg.out_dir) / subdir)
     print(summarize(table), end="")
     return EXIT_OK
 
@@ -113,7 +113,9 @@ def build_parser():
                                             family="quantum-variable"),
         "search-nngp": functools.partial(cmd_search, family="nngp"),
         "bench-interp": functools.partial(cmd_bench, run=run_interpolation),
-        "bench-extrap": functools.partial(cmd_bench, run=run_extrapolation),
+        # a subdirectory, so an interpolation run's files in out_dir remain
+        "bench-extrap": functools.partial(cmd_bench, run=run_extrapolation,
+                                          subdir="extrap"),
     }
     for name, fn in handlers.items():
         sp = sub.add_parser(name)

@@ -81,10 +81,6 @@ class KernelEvaluationError(RuntimeError):
 class NotPositiveDefiniteError(RuntimeError):
     """Cholesky factorization failed at the jitter cap."""
 
-    def __init__(self, msg, min_eigenvalue=None):
-        super().__init__(msg)
-        self.min_eigenvalue = min_eigenvalue
-
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -277,12 +273,12 @@ def _cholesky_with_jitter(A, jitter):
     reads and overwrites A's upper triangle; A is then mirrored, and its
     lower triangle is the factor ``scipy.linalg.cholesky(A, lower=True)``
     gives, bit for bit. The returned array is A, or a C-contiguous float64
-    copy of it when A is not one. Each failed attempt restores the upper
-    triangle from the untouched strict lower one.
+    copy of it when A is not one.
 
-    Each attempt sets A's diagonal to d + j in place, d being the diagonal
-    on entry, so jitters never accumulate. At the cap the diagonal is
-    restored to d and the smallest eigenvalue of A is reported.
+    Each attempt sets A's diagonal to d + j, d being the diagonal on entry,
+    so jitters never accumulate; before the next one the upper triangle is
+    restored from the untouched strict lower one. Past the cap A is left
+    as the last attempt left it.
     """
     if not (A.flags.carray and A.dtype == np.float64):
         A = np.array(A, dtype=np.float64, order="C")
@@ -290,8 +286,7 @@ def _cholesky_with_jitter(A, jitter):
     d = A.diagonal().copy()
     j = jitter
     while True:
-        if j > 0:
-            A.flat[::n + 1] = d + j
+        A.flat[::n + 1] = d + j
         # A.T is F-contiguous, so f2py hands LAPACK A's own memory; clean=0
         # leaves A's strict lower triangle, the copy a restore reads, alone
         _, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
@@ -301,17 +296,13 @@ def _cholesky_with_jitter(A, jitter):
             for i0, i1 in _row_blocks(n):
                 _mirror(A, i0, i1)
             return A, j
+        j = j * 10.0 if j else DEFAULT_JITTER
+        if j > JITTER_CAP:
+            raise NotPositiveDefiniteError(
+                f"factorization failed at jitter cap {JITTER_CAP:g}: "
+                f"leading minor {info} of {n} is not positive definite")
         for i0, i1 in _row_blocks(n):  # restore the upper triangle
             _mirror(A.T, i0, i1)
-        nxt = DEFAULT_JITTER if j == 0 else j * 10.0
-        if nxt > JITTER_CAP:
-            A.flat[::n + 1] = d
-            min_eig = float(np.linalg.eigvalsh(A)[0])
-            raise NotPositiveDefiniteError(
-                f"factorization failed at jitter cap {JITTER_CAP:g}; "
-                f"smallest eigenvalue {min_eig:.3e}",
-                min_eigenvalue=min_eig)
-        j = nxt
 
 
 def _trtrs(U, b, trans):

@@ -256,12 +256,7 @@ class QuantumKernel(KernelFn):
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
         V1 = self.states(X, params)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        X2a = np.atleast_2d(np.asarray(X2, dtype=float))
-        if X2a.shape == X.shape and np.array_equal(X2a, X):
-            V2 = V1
-        else:
-            V2 = self.states(X2a, params)
+        V2 = V1 if X2 is X else self.states(X2, params)
         K = np.abs(V1 @ V2.conj().T)
         K **= 2
         return K

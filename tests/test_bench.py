@@ -436,6 +436,22 @@ def test_cli_bench_interp_and_report(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_cli_bench_extrap_keeps_the_interp_files(tmp_path, capsys):
+    out_dir = tmp_path / "results"
+    path = _write_config(tmp_path, out_dir=str(out_dir), n_train_extrap=20)
+    for command in ("bench-interp", "bench-extrap"):
+        assert cli.main([command, "--config", path]) == cli.EXIT_OK
+    for run, size in ((out_dir, 40), (out_dir / "extrap", 0.5)):
+        table = ResultTable.from_csv(run / "results.csv")
+        assert {r.size for r in table.rows} == {size}
+        assert f"size={size:g}" in (run / "summary.txt").read_text()
+        assert (run / f"winner_rbf_{size:g}_0.txt").exists()
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out_dir / "extrap")]) \
+        == cli.EXIT_OK
+    assert "size=0.5" in capsys.readouterr().out
+
+
 def test_cli_report_without_results_is_data_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
 

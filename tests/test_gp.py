@@ -125,7 +125,7 @@ def test_logL_matches_dense_oracle():
         assert abs(got - want) < 1e-8
 
 
-def test_jitter_escalates_then_fails_with_min_eigenvalue():
+def test_jitter_escalates_then_fails_at_the_cap():
     class NearlyIndefinite(KernelFn):
         # smallest eigenvalue is -2e-6: fails below jitter 1e-5, passes at it
         def gram(self, X, X2, params):
@@ -149,13 +149,28 @@ def test_jitter_escalates_then_fails_with_min_eigenvalue():
             n = np.atleast_2d(X).shape[0]
             return -np.eye(n)
 
-    with pytest.raises(NotPositiveDefiniteError) as err:
+    with pytest.raises(NotPositiveDefiniteError):
         fit(Indefinite(), None, X, y)
-    assert err.value.min_eigenvalue is not None
-    assert err.value.min_eigenvalue < 0
-    # the eigenvalue is taken with the diagonal restored, jitter removed
-    *_, min_eig = _oracle_fit(Indefinite(), None, X, y, sigma_n=0.0)
-    assert err.value.min_eigenvalue == min_eig
+    assert _oracle_fit(Indefinite(), None, X, y, sigma_n=0.0) is None
+
+
+def test_failed_factor_names_the_cap_and_minor_without_eigenvalues(
+        monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise AssertionError("a failed factorization needs no spectrum")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+
+    class ThirdMinorIndefinite(KernelFn):
+        def gram(self, X, X2, params):
+            return np.diag([1.0, 1.0, -1.0, 1.0])
+
+    X = np.zeros((4, 1))
+    with pytest.raises(NotPositiveDefiniteError) as err:
+        fit(ThirdMinorIndefinite(), None, X, np.ones(4))
+    assert str(err.value) == (
+        f"factorization failed at jitter cap {JITTER_CAP:g}: "
+        "leading minor 3 of 4 is not positive definite")
 
 
 def test_fit_validates_inputs():
@@ -266,8 +281,7 @@ def _oracle_gram(kernel, params, X):
 
 
 def _oracle_fit(kernel, params, X, y, sigma_n, jitter=DEFAULT_JITTER):
-    """(K, L, alpha, logL, jitter); L is None and the last entry the
-    smallest eigenvalue when the jitter ladder fails."""
+    """(K, L, alpha, logL, jitter), or None when the jitter ladder fails."""
     K = _oracle_gram(kernel, params, X)
     K = np.triu(K) + np.triu(K, 1).T
     n = K.shape[0]
@@ -283,7 +297,7 @@ def _oracle_fit(kernel, params, X, y, sigma_n, jitter=DEFAULT_JITTER):
         except np.linalg.LinAlgError:
             j = DEFAULT_JITTER if j == 0 else j * 10.0
             if j > JITTER_CAP:
-                return K, None, None, None, float(np.linalg.eigvalsh(A)[0])
+                return None
     z = solve_triangular(L, y, lower=True)
     alpha = solve_triangular(L.T, z, lower=False)
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
@@ -512,12 +526,11 @@ def test_failed_factor_restores_the_matrix_across_blocks():
     assert model.jitter == jitter == pytest.approx(1e-5)
     assert np.array_equal(model.alpha, alpha)
     assert model.logL == logL
-    # -1e-2: every attempt fails; the eigenvalue is the restored matrix's
+    # -1e-2: every attempt fails
     kernel = _Spectrum(n, -1e-2)
-    with pytest.raises(NotPositiveDefiniteError) as err:
+    with pytest.raises(NotPositiveDefiniteError):
         fit(kernel, None, X, y, sigma_n=0.05)
-    *_, min_eig = _oracle_fit(kernel, None, X, y, sigma_n=0.05)
-    assert err.value.min_eigenvalue == min_eig
+    assert _oracle_fit(kernel, None, X, y, sigma_n=0.05) is None
 
 
 @pytest.mark.parametrize("layout", [

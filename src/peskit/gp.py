@@ -119,8 +119,8 @@ class KernelFn:
     """Abstract covariance function over pairs of D-dimensional inputs.
 
     Subclasses implement ``gram``, the matrix of k(x, x') over the rows of
-    two input sets. It must return a fresh float array that no one else
-    holds: ``build_kernel_matrix`` and ``fit`` overwrite it in place.
+    two input sets, as a fresh float array no one else holds: ``fit``
+    overwrites it, reading only the upper triangle, diagonal included.
 
     Above ``_GRAM_BLOCK`` training rows, ``build_kernel_matrix`` calls
     ``gram`` on row blocks ``(X[i0:i1], X[i0:])`` of the upper triangle, so
@@ -233,80 +233,79 @@ def _input_rows(X):
 
 
 def build_kernel_matrix(kernel: KernelFn, params: ParamVector, X) -> np.ndarray:
-    """Assemble the N x N kernel matrix; exactly symmetric by mirroring.
+    """Assemble the N x N kernel matrix, C-contiguous; only its upper
+    triangle, diagonal included, is defined, and only that is checked.
 
-    The upper triangle, diagonal included, is the kernel's own; the strict
-    lower triangle is its mirror image. Above ``_GRAM_BLOCK`` rows, a kernel
-    without a feature map is evaluated on row blocks of the upper triangle
-    only, ``gram(X[i0:i1], X[i0:])`` (see ``KernelFn``); any other kernel
-    returns the whole Gram in one call. Each block forms its own inner
-    products, so a Gram built on them may differ from the upper triangle of
-    one whole ``gram(X, X)`` at round-off. A non-finite entry of the upper
-    triangle raises ``KernelEvaluationError`` naming the first offending
-    pair, row by row.
+    Above ``_GRAM_BLOCK`` rows, a kernel without a feature map is evaluated
+    on row blocks of the upper triangle only, ``gram(X[i0:i1], X[i0:])``
+    (see ``KernelFn``), and the strict lower triangle is left unwritten;
+    any other kernel returns the whole Gram in one call, its own values
+    below the diagonal too. Each block forms its own inner products, so a
+    Gram built on them may differ from the upper triangle of one whole
+    ``gram(X, X)`` at round-off. A non-finite entry there raises
+    ``KernelEvaluationError`` naming the first offending pair, row by row.
     """
     X = _input_rows(X)
     n = X.shape[0]
     whole = n <= _GRAM_BLOCK or kernel.n_features is not None
     if whole:
-        K = np.asarray(kernel.gram(X, X, params), dtype=float)
+        K = np.ascontiguousarray(kernel.gram(X, X, params), dtype=float)
     else:
         K = np.empty((n, n))
     for i0, i1 in _row_blocks(n):
         if not whole:
             K[i0:i1, i0:] = kernel.gram(X[i0:i1], X[i0:], params)
-        # mirror the upper triangle so symmetry holds bitwise
-        _mirror(K, i0, i1)
-        rows = K[i0:i1, i0:]
-        if not np.all(np.isfinite(rows)):
-            i, j = np.argwhere(~np.isfinite(rows))[0]
+        ok = np.isfinite(K[i0:i1, i0:])
+        ok[:, :i1 - i0] |= _strict_lower(i1 - i0)  # below the diagonal
+        if not ok.all():
+            i, j = np.argwhere(~ok)[0]
             raise KernelEvaluationError(f"kernel returned non-finite value "
                                         f"at pair ({i0 + i}, {i0 + j})")
     return K
 
 
-def _cholesky_with_jitter(A, jitter):
+def _cholesky_with_jitter(A, jitter, rebuild=None):
     """Cholesky of A + j*I, escalating j by 10x up to JITTER_CAP on failure.
 
-    A must be exactly symmetric. It is factored in its own memory by
-    scipy's LAPACK ``dpotrf('L')`` of the column-major view ``A.T``, which
-    reads and overwrites A's upper triangle; A is then mirrored, and its
-    lower triangle is the factor ``scipy.linalg.cholesky(A, lower=True)``
-    gives, bit for bit. The returned array is A, or a C-contiguous float64
-    copy of it when A is not one.
+    A is a C-contiguous float64 array, of which only the upper triangle is
+    read. It is factored in its own memory by scipy's LAPACK ``dpotrf('L')``
+    of the column-major view ``A.T``, and the returned A holds the factor
+    ``scipy.linalg.cholesky(A, lower=True)`` gives, bit for bit, as the
+    lower triangle of ``A.T``.
 
     Each attempt sets A's diagonal to d + j, d being the diagonal on entry,
-    so jitters never accumulate; before the next one the upper triangle is
-    restored from the untouched strict lower one. Past the cap A is left
-    as the last attempt left it.
+    so jitters never accumulate. After a failed first attempt, A makes way
+    for a fresh ``rebuild()``, or stays if ``rebuild`` is None (an exactly
+    symmetric A); its upper triangle is mirrored below and, before each
+    later attempt, restored from there. Past the cap A is left as is.
     """
-    if not (A.flags.carray and A.dtype == np.float64):
-        A = np.array(A, dtype=np.float64, order="C")
     n = A.shape[0]
     d = A.diagonal().copy()
     j = jitter
     while True:
         A.flat[::n + 1] = d + j
-        # A.T is F-contiguous, so f2py hands LAPACK A's own memory; clean=0
-        # leaves A's strict lower triangle, the copy a restore reads, alone
-        _, info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
+        # LAPACK works in A's memory (A.T is F-contiguous), clean=0 spares
+        # the strict lower triangle, and the view it returns is not kept
+        info = dpotrf(A.T, lower=1, clean=0, overwrite_a=1)[1]
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         if info == 0:
-            for i0, i1 in _row_blocks(n):
-                _mirror(A, i0, i1)
             return A, j
         j = j * 10.0 if j else DEFAULT_JITTER
         if j > JITTER_CAP:
             raise NotPositiveDefiniteError(
                 f"factorization failed at jitter cap {JITTER_CAP:g}: "
                 f"leading minor {info} of {n} is not positive definite")
-        for i0, i1 in _row_blocks(n):  # restore the upper triangle
-            _mirror(A.T, i0, i1)
+        fresh = rebuild is not None
+        if fresh:
+            A = None  # the failed attempt goes before its successor is built
+            A, rebuild = rebuild(), None
+        for i0, i1 in _row_blocks(n):  # mirror a fresh A, else restore it
+            _mirror(A if fresh else A.T, i0, i1)
 
 
-def _trtrs(U, b, trans):
-    x, info = dtrtrs(U, b, lower=0, trans=trans)
+def _trtrs(T, b, lower, trans):
+    x, info = dtrtrs(T, b, lower=lower, trans=trans)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}")
@@ -321,14 +320,14 @@ def _solve_lower(L, b):
     This is the LAPACK call ``scipy.linalg.solve_triangular(L, b,
     lower=True, check_finite=False)`` makes, without its wrapper's overhead.
     """
-    return _trtrs(L.T, b, 1)
+    return _trtrs(L.T, b, 0, 1)
 
 
 def _solve_lower_t(L, b):
     """Solve L^T x = b for a C-contiguous lower-triangular L, as
     ``scipy.linalg.solve_triangular(L.T, b, lower=False,
     check_finite=False)`` does."""
-    return _trtrs(L.T, b, 0)
+    return _trtrs(L.T, b, 0, 0)
 
 
 def fit(kernel: KernelFn, params: ParamVector, X, y,
@@ -358,10 +357,14 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
         alpha, logL, used_jitter = _fit_weight_space(
             kernel, params, _input_rows(X), y, sigma_n, jitter)
     else:
-        A = build_kernel_matrix(kernel, params, X)
-        A.flat[::A.shape[0] + 1] += sigma_n ** 2
-        L, used_jitter = _cholesky_with_jitter(A, jitter)
-        alpha = _solve_lower_t(L, _solve_lower(L, y))
+        def gram():  # built again only after a failed first attempt
+            A = build_kernel_matrix(kernel, params, X)
+            A.flat[::A.shape[0] + 1] += sigma_n ** 2
+            return A
+
+        A, used_jitter = _cholesky_with_jitter(gram(), jitter, gram)
+        L = A.T  # F-ordered, the factor in its lower triangle
+        alpha = _trtrs(L, _trtrs(L, y, 1, 0), 1, 1)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         logL = float(-0.5 * y @ alpha - 0.5 * logdet
                      - 0.5 * y.size * math.log(2.0 * math.pi))
@@ -387,18 +390,19 @@ def _fit_weight_space(kernel, params, X, y, sigma_n, jitter):
         raise KernelEvaluationError(
             f"kernel returned non-finite feature {j} at row {i}")
     n, r = Phi.shape
-    C = Phi.T @ Phi
+    C = Phi.T @ Phi  # exactly symmetric, so the ladder needs no rebuild
     C.flat[::r + 1] += sigma_n ** 2
-    L, used_jitter = _cholesky_with_jitter(C, jitter)
+    C, used_jitter = _cholesky_with_jitter(C, jitter)
+    L = C.T  # F-ordered, the factor in its lower triangle
     s2 = sigma_n ** 2 + used_jitter
 
     def solve(v, b):  # A^-1 v, b being L_C^-1 Phi^T v
-        return (v - Phi @ _solve_lower_t(L, b)) / s2
+        return (v - Phi @ _trtrs(L, b, 1, 1)) / s2
 
-    b = _solve_lower(L, Phi.T @ y)
+    b = _trtrs(L, Phi.T @ y, 1, 0)
     alpha = solve(y, b)
     resid = y - Phi @ (Phi.T @ alpha) - s2 * alpha
-    alpha += solve(resid, _solve_lower(L, Phi.T @ resid))
+    alpha += solve(resid, _trtrs(L, Phi.T @ resid, 1, 0))
     logdet = 2.0 * float(np.sum(np.log(np.diag(L)))) + (n - r) * math.log(s2)
     logL = float(-0.5 * (y @ y - b @ b) / s2 - 0.5 * logdet
                  - 0.5 * n * math.log(2.0 * math.pi))

@@ -58,8 +58,8 @@ class NNGPKernel(KernelFn):
             raise ValueError(
                 f"depth {self.depth} NNGP needs {2 * (self.depth + 1)} parameters")
         D = X.shape[1]
-        # each layer updates K in place, in the operation order of
-        # K = sb2 + sw2 (2/pi) arcsin(clip(2 K / denom))
+        # each layer updates K in place: K = sb2 + sw2 (2/pi) arcsin(clip(
+        # K a b^T)), a = 2 / sqrt(1 + 2 kx) on rows, b = 1 / sqrt(1 + 2 kx2)
         sw2, sb2 = v[0] ** 2, v[1] ** 2
         K = X @ X2.T
         K *= sw2
@@ -69,16 +69,14 @@ class NNGPKernel(KernelFn):
         kx2 = sb2 + sw2 * np.sum(X2 ** 2, axis=1) / D
         for l in range(1, self.depth + 1):
             sw2, sb2 = v[2 * l] ** 2, v[2 * l + 1] ** 2
-            denom = np.outer(1.0 + 2.0 * kx, 1.0 + 2.0 * kx2)
-            np.sqrt(denom, out=denom)
-            K *= 2.0
-            K /= denom
-            del denom
+            K *= (2.0 / np.sqrt(1.0 + 2.0 * kx))[:, None]
+            K *= (1.0 / np.sqrt(1.0 + 2.0 * kx2))[None, :]
             worst = max(K.max(), -K.min()) - 1.0
             if worst > _ARCSIN_TOL:
                 raise FloatingPointError(
                     f"arcsin argument out of range by {worst:.3e}")
-            np.clip(K, -1.0, 1.0, out=K)
+            if worst > 0:
+                np.clip(K, -1.0, 1.0, out=K)
             np.arcsin(K, out=K)
             K *= sw2 * (2.0 / math.pi)
             K += sb2

@@ -22,7 +22,7 @@ from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
                        predict, rmse, surrogate_objective)
 from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
                             _matern_r, new_leaf, param_vector, with_params)
-from peskit import nngp
+from peskit import gp as gp_module, nngp
 from peskit.nngp import NNGPKernel
 from peskit.quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
                             build_variable_ansatz, statevectors)
@@ -59,6 +59,8 @@ def test_param_vector_rejects_wrong_length():
 
 
 def test_kernel_matrix_symmetry_is_bitwise():
+    # a whole Gram is the kernel's own, both triangles; the RBF's one is
+    # symmetric bit for bit
     rng = np.random.default_rng(0)
     X = rng.uniform(0, 1, (30, 3))
     kernel, pv = _rbf(0.7)
@@ -70,12 +72,15 @@ def test_kernel_matrix_symmetry_is_bitwise():
             n = len(X)
             return np.random.default_rng(n).standard_normal((n, n))
 
-    # the upper triangle, diagonal included, is the one kept
+    # the upper triangle, diagonal included, is the one a fit reads: the
+    # factor is the oracle's of the upper triangle's mirror
     for n in (1, 2, 7, 40):
         X = np.zeros((n, 1))
         G = Asymmetric().gram(X, X, None)
-        want = np.triu(G) + np.triu(G, 1).T
-        assert np.array_equal(build_kernel_matrix(Asymmetric(), None, X), want)
+        assert np.array_equal(build_kernel_matrix(Asymmetric(), None, X), G)
+        want = np.triu(G) + np.triu(G, 1).T + 2 * n * np.eye(n)
+        got, _ = _cholesky_with_jitter(G + 2 * n * np.eye(n), 0.0)
+        assert np.array_equal(np.tril(got.T), cholesky(want, lower=True))
 
 
 def test_kernel_matrix_reports_offending_pair():
@@ -214,7 +219,8 @@ def test_rmse():
 
 # ---------------------------------------------------------------------------
 # bitwise oracle: the GP core with a fresh array at every step (triu mirror,
-# + sigma^2 I, + jI, checked solves); the in-place path must match it exactly
+# + sigma^2 I, + jI, checked solves); the in-place path must match it exactly,
+# in the upper triangle of the Gram, which is all a fit reads
 
 def _oracle_products(X):
     """X @ X.T, its upper triangle formed as ``build_kernel_matrix`` forms
@@ -262,8 +268,10 @@ def _oracle_gram_nngp(depth, v, X):
     kx = sb2 + sw2 * np.sum(X ** 2, axis=1) / D
     for l in range(1, depth + 1):
         sw2, sb2 = v[2 * l] ** 2, v[2 * l + 1] ** 2
-        denom = np.sqrt(np.outer(1.0 + 2.0 * kx, 1.0 + 2.0 * kx))
-        arg = np.clip(2.0 * K / denom, -1.0, 1.0)
+        # 2 K / sqrt((1 + 2 kx)(1 + 2 kx')), scaling rows, then columns
+        rows = 2.0 / np.sqrt(1.0 + 2.0 * kx)
+        cols = 1.0 / np.sqrt(1.0 + 2.0 * kx)
+        arg = np.clip(K * rows[:, None] * cols[None, :], -1.0, 1.0)
         K = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(arg)
         kx = sb2 + sw2 * (2.0 / math.pi) * np.arcsin(2.0 * kx / (1.0 + 2.0 * kx))
     return K
@@ -289,17 +297,18 @@ def _oracle_fit(kernel, params, X, y, sigma_n, jitter=DEFAULT_JITTER):
     j = jitter
     while True:
         try:
-            # C order, as gp's factor: a Fortran-ordered L would send
-            # solve_triangular down another LAPACK variant
-            L = np.ascontiguousarray(
-                cholesky(A + j * np.eye(n) if j > 0 else A, lower=True))
+            # Fortran order, as gp's factor (the lower triangle of the
+            # F-ordered view A.T): solve_triangular then calls trtrs on L
+            # itself, as gp does; a C-ordered L takes another LAPACK variant
+            L = cholesky(A + j * np.eye(n) if j > 0 else A, lower=True)
+            assert L.flags.f_contiguous
             break
         except np.linalg.LinAlgError:
             j = DEFAULT_JITTER if j == 0 else j * 10.0
             if j > JITTER_CAP:
                 return None
     z = solve_triangular(L, y, lower=True)
-    alpha = solve_triangular(L.T, z, lower=False)
+    alpha = solve_triangular(L, z, lower=True, trans="T")
     logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
     logL = float(-0.5 * y @ alpha - 0.5 * logdet
                  - 0.5 * y.size * math.log(2.0 * math.pi))
@@ -363,7 +372,8 @@ def test_gp_core_bitwise_equals_oracle(family, n, sigma_n):
     y = rng.standard_normal(n)
     kernel, pv = _FAMILIES[family]()
     K, L, alpha, logL, jitter = _oracle_fit(kernel, pv, X, y, sigma_n)
-    assert np.array_equal(build_kernel_matrix(kernel, pv, X), K)
+    assert np.array_equal(np.triu(build_kernel_matrix(kernel, pv, X)),
+                          np.triu(K))
     assert L is not None, "oracle failed to factorize; pick another case"
     gp = fit(kernel, pv, X, y, sigma_n=sigma_n)
     assert np.array_equal(gp.alpha, alpha)
@@ -383,10 +393,10 @@ def test_row_blocks_match_the_whole_gram_to_round_off(family):
     assert n > B
     X = np.random.default_rng(n).uniform(-1.0, 1.0, (n, 3))
     kernel, pv = _FAMILIES[family]()
-    K = build_kernel_matrix(kernel, pv, X)
-    assert np.array_equal(K, K.T)
+    K = np.triu(build_kernel_matrix(kernel, pv, X))
+    assert np.array_equal(K, np.triu(_oracle_gram(kernel, pv, X)))
     G = kernel.gram(X, X, pv)
-    assert _rel(K, np.triu(G) + np.triu(G, 1).T) <= 1e-15
+    assert _rel(K, np.triu(G)) <= 1e-15
 
 
 class _Outer(KernelFn):
@@ -407,7 +417,7 @@ def test_row_blocks_keep_the_upper_triangle():
     kernel = _Outer()
     K = build_kernel_matrix(kernel, None, X)
     G = np.outer(X[:, 0], X[:, 0] ** 2)
-    assert np.array_equal(K, np.triu(G) + np.triu(G, 1).T)
+    assert np.array_equal(np.triu(K), np.triu(G))
     assert kernel.calls == [(B, n), (B, n - B), (3, 3)]
 
 
@@ -493,7 +503,8 @@ def test_in_place_factor_is_scipys_cholesky(n):
     want = cholesky(A, lower=True)
     got, jitter = _cholesky_with_jitter(A.copy(), 0.0)
     assert jitter == 0.0
-    assert np.array_equal(np.tril(got), want)
+    # the factor is the lower triangle of the F-ordered view got.T
+    assert np.array_equal(np.tril(got.T), want)
 
 
 class _Spectrum(KernelFn):
@@ -531,6 +542,87 @@ def test_failed_factor_restores_the_matrix_across_blocks():
     with pytest.raises(NotPositiveDefiniteError):
         fit(kernel, None, X, y, sigma_n=0.05)
     assert _oracle_fit(kernel, None, X, y, sigma_n=0.05) is None
+
+
+class _CountedSpectrum(_Spectrum):
+    """A ``_Spectrum`` that counts its ``gram`` calls."""
+
+    calls = 0
+
+    def gram(self, X, X2, params):
+        self.calls += 1
+        return super().gram(X, X2, params)
+
+
+@pytest.mark.parametrize("least,builds", [(0.1, 1), (-2e-6, 2)])
+def test_gram_is_built_again_only_after_a_failed_first_attempt(
+        monkeypatch, least, builds):
+    # a successful blocked fit assembles the Gram once; a fit whose first
+    # attempt fails, twice, whatever the number of rungs after it
+    n = 300
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.random.default_rng(0).standard_normal(n)
+    kernel = _CountedSpectrum(n, least)
+    built = []
+    real = gp_module.build_kernel_matrix
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gp_module, "build_kernel_matrix", counted)
+    model = fit(kernel, None, X, y, sigma_n=0.0)
+    assert len(built) == builds
+    assert kernel.calls == 3 * builds  # row blocks of B, B and 44 rows
+    _, _, alpha, logL, jitter = _oracle_fit(kernel, None, X, y, sigma_n=0.0)
+    assert model.jitter == jitter
+    assert (jitter == DEFAULT_JITTER) == (builds == 1)
+    assert np.array_equal(model.alpha, alpha)
+    assert model.logL == logL
+
+
+def test_escalating_fit_peak_memory_in_grams():
+    # the failed first attempt is dropped before the Gram is built again
+    n = 500
+    X = np.arange(n, dtype=float)[:, None]
+    y = np.random.default_rng(6).standard_normal(n)
+    kernel = _Spectrum(n, -2e-6)
+    assert fit(kernel, None, X, y).jitter > DEFAULT_JITTER
+    tracemalloc.start()
+    try:
+        fit(kernel, None, X, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bound of test_fit_peak_memory_in_grams
+    assert peak / (n * n * 8) < 1.5 + 0.25
+
+
+@pytest.mark.parametrize("n", [40, 129, 300])
+@pytest.mark.parametrize("family", ["rbf", "nngp2", "quantum-weight-space"])
+def test_fit_matches_dense_solve_and_slogdet(family, n):
+    # quantum-weight-space: 2 qubits, r = 16 < N, fitted in weight space
+    sigma_n = 0.05
+    if family == "quantum-weight-space":
+        kernel, pv = next(_quantum_kernels(2))
+        assert kernel.n_features < n
+    else:
+        kernel, pv = _FAMILIES[family]()
+        assert _takes_nxn_path(sigma_n, family, n)
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-1.0, 1.0, (n, X_DIMS[family]))
+    y = np.cos(2.0 * X[:, 0]) * X[:, -1] + 0.05 * rng.standard_normal(n)
+    model = fit(kernel, pv, X, y, sigma_n=sigma_n)
+    G = kernel.gram(X, X, pv)
+    A = np.triu(G) + np.triu(G, 1).T + (sigma_n ** 2 + model.jitter) * np.eye(n)
+    alpha = np.linalg.solve(A, y)
+    _, logdet = np.linalg.slogdet(A)
+    logL = -0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
+    assert _rel(model.alpha, alpha) <= 1e-10
+    assert abs(model.logL - logL) <= 1e-10 * abs(logL)
+
+
+X_DIMS = {"rbf": 3, "nngp2": 3, "quantum-weight-space": 2}
 
 
 @pytest.mark.parametrize("layout", [
@@ -675,7 +767,7 @@ def test_nxn_path_never_builds_features(monkeypatch):
 
 # N x N float64 arrays alive at the peak of an N x N fit: the Gram, which
 # the Cholesky factor overwrites, plus a row block's temporaries (1.51 for
-# rbf, 1.58 for nngp2 measured); or the complex overlap matrix (two) and
+# rbf, 1.29 for nngp2 measured); or the complex overlap matrix (two) and
 # the Gram built from it. The quantum case fits at sigma_n = 0, which keeps
 # the N x N path.
 @pytest.mark.parametrize("family,grams", [("rbf", 1.5), ("nngp2", 1.5),

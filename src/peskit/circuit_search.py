@@ -147,8 +147,8 @@ def _child_states(prefix, kernel, pv, X):
 
 
 def screen(candidates, data, cfg) -> BeamState:
-    """Score unrefined candidates at inherited parameters; keep the top
-    ``cfg.beam_width``.
+    """Score unrefined candidates at inherited parameters, unless they hold
+    a logO already; keep the top ``cfg.beam_width``.
 
     The candidates are distinct layer sequences, as ``extend`` makes them.
     Consecutive children of one parent share its prefix state, which is
@@ -160,7 +160,7 @@ def screen(candidates, data, cfg) -> BeamState:
     failures = []
     prefix_key = prefix = None
     for c in candidates:
-        if not c.refined:
+        if not c.refined and c.log_o == -np.inf:
             circuit = build_variable_ansatz(X.shape[1], c.layers)
             pv = circuit.default_params().with_values(c.params)
             parent = (circuit.layers[:-2], c.params.tobytes())
@@ -233,16 +233,26 @@ def search_circuit(data, cfg, seed):
                         best.log_o, best.beta_score, m + 1,
                         time.perf_counter() - t0)
 
+    scores = {}  # (logO, beta) by layers and params of each child screened
+
+    def screened(pool, fresh):  # a retained parent's children recur
+        keys = [(canonical_layers(c.layers), c.params.tobytes()) for c in fresh]
+        for c, key in zip(fresh, keys):
+            c.log_o, c.beta_score = scores.get(key, (c.log_o, c.beta_score))
+        beam = screen(pool, data, cfg)
+        scores.update((k, (c.log_o, c.beta_score)) for k, c in zip(keys, fresh))
+        return beam
+
     trace = SearchTrace()
     t0 = time.perf_counter()
-    beam = refine(screen(initial, data, cfg), data, cfg, seed)
+    beam = refine(screened(initial, initial), data, cfg, seed)
     best = beam.best()
     trace.append(row(0, len(initial), best, t0))
 
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
         children = extend(beam, moves)
-        beam = refine(screen(beam.candidates + children, data, cfg),
+        beam = refine(screened(beam.candidates + children, children),
                       data, cfg, seed)
         new_best = beam.best()
         trace.append(row(iteration, len(children), new_best, t0))

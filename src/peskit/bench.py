@@ -349,9 +349,12 @@ def write_artifacts(artifacts, outdir):
 
 
 def emit_reports(table: ResultTable, artifacts, outdir):
-    """Write the artifacts, results.csv and summary.txt."""
+    """Write the artifacts, results.csv and summary.txt; delete the trace
+    and winner files in ``outdir`` that this run did not write."""
     written = write_artifacts(artifacts, outdir)
     out = Path(outdir)
+    for stale in {*out.glob("trace_*"), *out.glob("winner_*")} - set(written):
+        stale.unlink()
     table.to_csv(out / "results.csv")
     (out / "summary.txt").write_text(summarize(table))
     return written + [out / "results.csv", out / "summary.txt"]

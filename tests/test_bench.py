@@ -452,6 +452,29 @@ def test_cli_bench_extrap_keeps_the_interp_files(tmp_path, capsys):
     assert "size=0.5" in capsys.readouterr().out
 
 
+def test_cli_bench_rerun_removes_the_files_of_cells_it_did_not_run(tmp_path):
+    out_dir = tmp_path / "results"
+    path = _write_config(tmp_path, out_dir=str(out_dir),
+                         families=["rbf", "nngp"], seeds=[0, 1])
+    assert cli.main(["bench-interp", "--config", path]) == cli.EXIT_OK
+    assert (out_dir / "winner_nngp_40_1.json").exists()
+    assert (out_dir / "trace_nngp_40_1.csv").exists()
+    assert cli.main(["bench-interp", "--config", path, "--seed", "0"]) \
+        == cli.EXIT_OK
+    assert not list(out_dir.glob("*_1.*"))
+    assert sorted(p.name for p in out_dir.iterdir()) == [
+        "results.csv", "summary.txt", "trace_nngp_40_0.csv",
+        "winner_nngp_40_0.json", "winner_rbf_40_0.txt"]
+    # a search writes its cell's files beside a bench's and removes none
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert cli.main(["search-nngp", "--config", path, "--seed", "1"]) \
+        == cli.EXIT_OK
+    after = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert set(after) == set(before) | {"trace_nngp_40_1.csv",
+                                        "winner_nngp_40_1.json"}
+    assert all(after[name] == data for name, data in before.items())
+
+
 def test_cli_report_without_results_is_data_error(tmp_path):
     assert cli.main(["report", "--out", str(tmp_path)]) == cli.EXIT_DATA
 

@@ -11,6 +11,8 @@ Run from the root of a peskit checkout, with a benchmark workload and seed
 The config runs through ``peskit.bench.run_interpolation`` from this
 checkout's ``src``, with the BLAS thread count pinned to 1. Wall times are
 left out, so two runs whose results are bitwise equal print the same bytes.
+peskit's warnings (failed fits the searches recover from) are silenced, so
+only errors reach stderr.
 """
 
 import os
@@ -20,6 +22,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -52,6 +55,7 @@ def main(argv=None):
     p.add_argument("seed", type=int, nargs="?", default=0,
                    help="workload seed (ignored for a JSON file)")
     args = p.parse_args(argv)
+    logging.getLogger("peskit").setLevel(logging.ERROR)
     import workloads
     if args.config in workloads.WORKLOADS:
         doc = workloads.config(args.config, args.seed)

@@ -320,14 +320,14 @@ def _solve_lower(L, b):
     This is the LAPACK call ``scipy.linalg.solve_triangular(L, b,
     lower=True, check_finite=False)`` makes, without its wrapper's overhead.
     """
-    return _trtrs(L.T, b, 0, 1)
+    return _trtrs(L.T, b, lower=0, trans=1)
 
 
 def _solve_lower_t(L, b):
     """Solve L^T x = b for a C-contiguous lower-triangular L, as
     ``scipy.linalg.solve_triangular(L.T, b, lower=False,
     check_finite=False)`` does."""
-    return _trtrs(L.T, b, 0, 0)
+    return _trtrs(L.T, b, lower=0, trans=0)
 
 
 def fit(kernel: KernelFn, params: ParamVector, X, y,
@@ -364,7 +364,7 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
 
         A, used_jitter = _cholesky_with_jitter(gram(), jitter, gram)
         L = A.T  # F-ordered, the factor in its lower triangle
-        alpha = _trtrs(L, _trtrs(L, y, 1, 0), 1, 1)
+        alpha = _trtrs(L, _trtrs(L, y, lower=1, trans=0), lower=1, trans=1)
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         logL = float(-0.5 * y @ alpha - 0.5 * logdet
                      - 0.5 * y.size * math.log(2.0 * math.pi))
@@ -397,12 +397,12 @@ def _fit_weight_space(kernel, params, X, y, sigma_n, jitter):
     s2 = sigma_n ** 2 + used_jitter
 
     def solve(v, b):  # A^-1 v, b being L_C^-1 Phi^T v
-        return (v - Phi @ _trtrs(L, b, 1, 1)) / s2
+        return (v - Phi @ _trtrs(L, b, lower=1, trans=1)) / s2
 
-    b = _trtrs(L, Phi.T @ y, 1, 0)
+    b = _trtrs(L, Phi.T @ y, lower=1, trans=0)
     alpha = solve(y, b)
     resid = y - Phi @ (Phi.T @ alpha) - s2 * alpha
-    alpha += solve(resid, _trtrs(L, Phi.T @ resid, 1, 0))
+    alpha += solve(resid, _trtrs(L, Phi.T @ resid, lower=1, trans=0))
     logdet = 2.0 * float(np.sum(np.log(np.diag(L)))) + (n - r) * math.log(s2)
     logL = float(-0.5 * (y @ y - b @ b) / s2 - 0.5 * logdet
                  - 0.5 * n * math.log(2.0 * math.pi))

@@ -583,7 +583,7 @@ def test_gram_is_built_again_only_after_a_failed_first_attempt(
 
 def test_escalating_fit_peak_memory_in_grams():
     # the failed first attempt is dropped before the Gram is built again
-    n = 500
+    n = 300
     X = np.arange(n, dtype=float)[:, None]
     y = np.random.default_rng(6).standard_normal(n)
     kernel = _Spectrum(n, -2e-6)
@@ -596,6 +596,9 @@ def test_escalating_fit_peak_memory_in_grams():
         tracemalloc.stop()
     # the bound of test_fit_peak_memory_in_grams
     assert peak / (n * n * 8) < 1.5 + 0.25
+
+
+X_DIMS = {"rbf": 3, "nngp2": 3, "quantum-weight-space": 2}
 
 
 @pytest.mark.parametrize("n", [40, 129, 300])
@@ -620,9 +623,6 @@ def test_fit_matches_dense_solve_and_slogdet(family, n):
     logL = -0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi)
     assert _rel(model.alpha, alpha) <= 1e-10
     assert abs(model.logL - logL) <= 1e-10 * abs(logL)
-
-
-X_DIMS = {"rbf": 3, "nngp2": 3, "quantum-weight-space": 2}
 
 
 @pytest.mark.parametrize("layout", [

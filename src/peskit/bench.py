@@ -50,7 +50,7 @@ class ComputeError(RuntimeError):
 # needs two points
 _LEAST = {"classical_budget": 1, "final_budget": 1, "nngp_budget": 1,
           "nngp_max_depth": 1, "max_depth": 1, "beam_width": 1,
-          "refine_budget": 0, "threads": 1, "n_train_extrap": 2}
+          "refine_budget": 1, "threads": 1, "n_train_extrap": 2}
 
 
 def _is_int(value):

@@ -15,6 +15,9 @@ The single-qubit layers reuse the scales theta_i and all R_ZZ gates share
 one scale Theta, so no move adds a parameter and the beta penalty is
 depth-independent.
 
+A circuit's children are made once for each parameter set it holds: the
+seeds are the empty circuit's children at its start parameters, and any
+other circuit is extended once its refinement has frozen its parameters.
 Every circuit is optimized exactly once, when first retained, with a seed
 derived from its canonical form; retained incumbents keep their frozen
 scores, which makes the best-beta trace monotone and the whole search
@@ -89,6 +92,7 @@ class Candidate:
     refined: bool = False
     # the depth-0 baseline, kept outside the beam width (M is m + 1 for all)
     protected: bool = False
+    extended_at: bytes | None = None  # params bytes its children were made at
 
     @property
     def key(self):
@@ -104,13 +108,18 @@ class BeamState:
 
 
 def extend(beam: BeamState, moves):
-    """Children of every retained circuit: parent layers + one move.
+    """Children of every retained circuit not yet extended at its current
+    parameters: parent layers + one move.
 
     Each layer sequence appears once, and none that the beam already holds.
     """
     children = []
     seen = {canonical_layers(c.layers) for c in beam.candidates}
     for parent in beam.candidates:
+        at = parent.params.tobytes()
+        if parent.extended_at == at:
+            continue
+        parent.extended_at = at
         for layer in moves:
             layers = parent.layers + (layer,)
             key = canonical_layers(layers)
@@ -147,8 +156,8 @@ def _child_states(prefix, kernel, pv, X):
 
 
 def screen(candidates, data, cfg) -> BeamState:
-    """Score unrefined candidates at inherited parameters, unless they hold
-    a logO already; keep the top ``cfg.beam_width``.
+    """Score unrefined candidates at inherited parameters; keep the top
+    ``cfg.beam_width``.
 
     The candidates are distinct layer sequences, as ``extend`` makes them.
     Consecutive children of one parent share its prefix state, which is
@@ -160,7 +169,7 @@ def screen(candidates, data, cfg) -> BeamState:
     failures = []
     prefix_key = prefix = None
     for c in candidates:
-        if not c.refined and c.log_o == -np.inf:
+        if not c.refined:
             circuit = build_variable_ansatz(X.shape[1], c.layers)
             pv = circuit.default_params().with_values(c.params)
             parent = (circuit.layers[:-2], c.params.tobytes())
@@ -195,15 +204,13 @@ def _optimize(c: Candidate, data, budget, tag, cfg, seed):
 
 
 def refine(beam: BeamState, data, cfg, seed) -> BeamState:
-    """Optimize parameters of circuits not yet refined; frozen afterwards.
-    A ``cfg.refine_budget`` of 0 keeps their inherited parameters."""
+    """Optimize parameters of circuits not yet refined; frozen afterwards."""
     for c in beam.candidates:
         if c.refined:
             continue
-        if cfg.refine_budget >= 1:
-            res = _optimize(c, data, cfg.refine_budget, "circuit", cfg, seed)
-            c.params, c.log_o = res.best_point, res.best_value
-            c.beta_score = beta(c.log_o, data.X.shape[1] + 1, data.y.size)
+        res = _optimize(c, data, cfg.refine_budget, "circuit", cfg, seed)
+        c.params, c.log_o = res.best_point, res.best_value
+        c.beta_score = beta(c.log_o, data.X.shape[1] + 1, data.y.size)
         c.refined = True
     beam.candidates.sort(key=lambda c: c.key)
     return beam
@@ -225,34 +232,24 @@ def search_circuit(data, cfg, seed):
     moves = search_moves(m)
     init = build_variable_ansatz(m, ()).default_params().values
 
-    initial = [Candidate(layers=(), params=init.copy(), protected=True)]
-    initial += [Candidate(layers=(layer,), params=init.copy()) for layer in moves]
+    root = Candidate(layers=(), params=init, protected=True)
+    initial = [root] + extend(BeamState([root]), moves)
 
     def row(iteration, n_candidates, best, t0):
         return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
                         best.log_o, best.beta_score, m + 1,
                         time.perf_counter() - t0)
 
-    scores = {}  # (logO, beta) by layers and params of each child screened
-
-    def screened(pool, fresh):  # a retained parent's children recur
-        keys = [(canonical_layers(c.layers), c.params.tobytes()) for c in fresh]
-        for c, key in zip(fresh, keys):
-            c.log_o, c.beta_score = scores.get(key, (c.log_o, c.beta_score))
-        beam = screen(pool, data, cfg)
-        scores.update((k, (c.log_o, c.beta_score)) for k, c in zip(keys, fresh))
-        return beam
-
     trace = SearchTrace()
     t0 = time.perf_counter()
-    beam = refine(screened(initial, initial), data, cfg, seed)
+    beam = refine(screen(initial, data, cfg), data, cfg, seed)
     best = beam.best()
     trace.append(row(0, len(initial), best, t0))
 
     for iteration in range(1, cfg.max_depth):
         t0 = time.perf_counter()
         children = extend(beam, moves)
-        beam = refine(screened(beam.candidates + children, children),
+        beam = refine(screen(beam.candidates + children, data, cfg),
                       data, cfg, seed)
         new_best = beam.best()
         trace.append(row(iteration, len(children), new_best, t0))

@@ -206,7 +206,6 @@ class MorsePes:
             iu = np.triu_indices(self.dims, 1)
             c[iu] = rng.uniform(0.1, 0.3, iu[0].size)
         object.__setattr__(self, "coupling", c)
-        object.__setattr__(self, "scale", 1.0)
         probe = self._sample_distances(4096, np.random.default_rng(self.seed + 1))
         raw = self._raw_energy(probe)
         object.__setattr__(self, "scale", self.energy_top / float(raw.max()))

@@ -17,14 +17,14 @@ import numpy as np
 from scipy.spatial.distance import pdist
 
 from .gp import SearchTrace, TraceRow, bic
-from .kernels import (ClassicalKernel, Prod, Sum, ensure_coef, new_leaf,
-                      param_vector, serialize, with_params)
+from .kernels import (BASE_KINDS, ClassicalKernel, Prod, Sum, ensure_coef,
+                      new_leaf, param_vector, serialize, with_params)
 from .optimizer import maximize_logl, stable_seed
 
 __all__ = ["DEFAULT_BASES", "expand", "search_classical"]
 
 # the five base families; Matern contributes its smoothness variants
-DEFAULT_BASES = ("RBF", "DOT", "RQ", "PER", "MAT12", "MAT32", "MAT52")
+DEFAULT_BASES = BASE_KINDS
 # converged when a step improves the BIC by less than max(EPS_REL*|BIC|, EPS_ABS)
 EPS_REL = 0.01
 EPS_ABS = 0.5
@@ -76,6 +76,8 @@ def search_classical(data, cfg, seed, bases=DEFAULT_BASES):
     best expression, fitted ParamVector, SearchTrace); each trace row's
     criterion is the step's best BIC and its score that candidate's logL.
     """
+    if not bases:
+        raise ValueError("base set must be nonempty")
     X, y = data.X, data.y
     dists = pdist(X)
     p_scale = float(np.median(dists)) if dists.size else 1.0

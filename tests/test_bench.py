@@ -54,7 +54,8 @@ def test_config_rejects_unknown_and_missing_keys():
         ExperimentConfig.from_dict(_config(dataset={"dims": 2}))
     for key, bad in (("classical_budget", 0), ("final_budget", 0),
                      ("nngp_budget", 0), ("nngp_max_depth", 0),
-                     ("beam_width", 0), ("refine_budget", -1),
+                     ("beam_width", 0), ("refine_budget", 0),
+                     ("refine_budget", -1),
                      ("nngp_budget", "5"), ("threads", 0),
                      ("threads", "2"), ("threads", 1.5), ("max_depth", 0),
                      ("beam_width", True), ("threads", True)):

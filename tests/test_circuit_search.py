@@ -216,16 +216,6 @@ def test_refine_improves_or_keeps_screened_score():
     assert refined.log_o >= screened
 
 
-def test_zero_budget_refine_is_noop():
-    data = _search_data()
-    cfg = search_config(beam_width=3, refine_budget=0, sigma_n=0.1)
-    beam = screen([_cand((((0, 1),),))], data, cfg)
-    before = beam.candidates[0].beta_score
-    after = refine(beam, data, cfg, 0).candidates[0]
-    assert after.beta_score == before
-    assert after.refined
-
-
 def test_refined_candidates_are_frozen():
     data = _search_data()
     cfg = search_config(beam_width=3, refine_budget=6, sigma_n=0.1)
@@ -283,3 +273,28 @@ def test_search_screens_distinct_candidates(monkeypatch):
     monkeypatch.setattr(circuit_search, "screen", screen)
     search_circuit(_search_data(60, seed=1), _quick_cfg(3), 1)
     assert len(calls) >= 2
+
+
+def test_search_makes_children_once_per_parameter_set(monkeypatch):
+    # a parent is extended once at each parameter set it holds, so no child
+    # is made twice at one set and no circuit is refined twice
+    made, optimized = [], []
+    real_extend, real_optimize = circuit_search.extend, circuit_search._optimize
+
+    def extend(beam, moves):
+        children = real_extend(beam, moves)
+        made.extend((canonical_layers(c.layers), c.params.tobytes())
+                    for c in children)
+        return children
+
+    def _optimize(c, data, budget, tag, cfg, seed):
+        if tag == "circuit":
+            optimized.append(canonical_layers(c.layers))
+        return real_optimize(c, data, budget, tag, cfg, seed)
+
+    monkeypatch.setattr(circuit_search, "extend", extend)
+    monkeypatch.setattr(circuit_search, "_optimize", _optimize)
+    _, _, trace = search_circuit(_search_data(60, seed=0), _quick_cfg(3), 1)
+    assert len(trace) == 3  # the seeds, their children and theirs
+    assert len(made) == len(set(made))
+    assert len(optimized) == len(set(optimized))

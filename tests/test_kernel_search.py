@@ -103,6 +103,12 @@ def test_trace_csv(tmp_path, search):
         assert all(math.isfinite(v) for v in numbers), row
 
 
+def test_search_refuses_an_empty_base_set():
+    # refused as expand refuses it, not by min() of an empty first pool
+    with pytest.raises(ValueError, match="base set must be nonempty"):
+        search_classical(_search_data(20, 0, 10), FAST, 0, bases=())
+
+
 def test_default_bases_cover_the_five_families():
     assert set(DEFAULT_BASES) == {"RBF", "DOT", "RQ", "PER",
                                   "MAT12", "MAT32", "MAT52"}

@@ -15,7 +15,11 @@ benchmark's run length (``run_seconds`` in ``BENCHMARK.json``), the parent
 first in pairs 1, 3, ... and the change first in pairs 2, 4, .... The
 script prints every pair, then per end-to-end metric the medians, the
 quartiles and how many pairs the change won (lower is better, ties count
-for neither side). It only invokes ``perfbench/``.
+for neither side), then each side's failed cells out of those attempted.
+A run that exits nonzero or reports ``correct: false`` stops the script
+with the side, the exit code and the tail of the run's stderr, where
+run.py writes its traceback or its ``check failed: ...`` lines. It only
+invokes ``perfbench/``.
 """
 
 import argparse
@@ -28,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s")
+STDERR_TAIL = 20  # lines of a failed run's stderr to report
 
 
 def _git(root, *args, env=None):
@@ -52,15 +57,21 @@ def _working_tree(root, workdir):
 
 
 def _run(copy, workload, seed, seconds):
-    """One ``perfbench/run.py --trace 0`` run in ``copy``; its metric values."""
+    """One ``perfbench/run.py --trace 0`` run in ``copy``: its metric values
+    and its ``failed`` and ``attempted`` cell counts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=copy, check=True, capture_output=True,
-                         text=True).stdout
-    result = json.loads(out.strip().splitlines()[-1])
-    if not result["correct"]:
-        raise RuntimeError(f"{copy.name}: run.py reports correct=false")
-    return {name: result["metrics"][name]["value"] for name in METRICS}
+    proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if proc.returncode == 0 and lines else {}
+    if not result.get("correct"):
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
+        raise RuntimeError(f"{copy.name}: run.py exited with code "
+                           f"{proc.returncode}, correct="
+                           f"{result.get('correct')}; stderr ends:\n{tail}")
+    values = {name: result["metrics"][name]["value"] for name in METRICS}
+    return dict(values, failed=result["failed"],
+                attempted=result["attempted"])
 
 
 def _quartiles(values):
@@ -86,6 +97,10 @@ def summarize(pairs):
             f"{statistics.median(change):.3f} [q1 {c1:.3f}, q3 {c3:.3f}]  "
             f"gap {gap:+.3f} vs parent IQR {p3 - p1:.3f}  "
             f"change wins {wins}/{len(pairs)} (loses {losses})")
+    lines.append("failed cells: " + "  ".join(
+        f"{side} {sum(run['failed'] for run in runs)}/"
+        f"{sum(run['attempted'] for run in runs)}"
+        for side, runs in zip(("parent", "change"), zip(*pairs))))
     return lines
 
 

@@ -7,6 +7,13 @@ Run from the root of a peskit checkout, with a benchmark workload and seed
     python3 tools/rows_digest.py circuit-beam 0 > after.txt
     python3 tools/rows_digest.py config.json > after.txt
     cmp before.txt after.txt
+    python3 tools/rows_digest.py --golden
+
+``--golden [DIR]`` writes the digest of each ``tests/golden/<name>.config.json``
+to ``DIR/<name>.digest.txt``, and this machine's facts to
+``DIR/machine.json``; DIR defaults to ``tests/golden``, so the bare flag
+regenerates the golden files that ``tests/test_golden.py`` compares
+against, for a change that moves rows on purpose.
 
 The config runs through ``peskit.bench.run_interpolation`` from this
 checkout's ``src``, with the BLAS thread count pinned to 1. Wall times are
@@ -29,6 +36,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def _hex(record):
@@ -49,13 +57,43 @@ def digest(doc):
     return lines
 
 
+def machine():
+    """The facts of ``perfbench/run.py``'s record that decide round-off:
+    CPU, numpy, scipy and BLAS."""
+    import run
+    env = run.environment()
+    return {"cpu_model": env["cpu_model"], "numpy": env["numpy"],
+            "scipy": env["scipy"], "blas": [env["blas"].get("name"),
+                                            env["blas"].get("version")]}
+
+
+def write_golden(out):
+    """Write the digest of each golden config, and the machine facts, to
+    the directory ``out``."""
+    out.mkdir(parents=True, exist_ok=True)
+    for path in sorted(GOLDEN.glob("*.config.json")):
+        name = path.name.removesuffix(".config.json")
+        lines = digest(json.loads(path.read_text()))
+        (out / f"{name}.digest.txt").write_text("\n".join(lines) + "\n")
+    (out / "machine.json").write_text(json.dumps(machine(), indent=1) + "\n")
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("config", help="a workload name or a config JSON file")
+    p.add_argument("config", nargs="?",
+                   help="a workload name or a config JSON file")
     p.add_argument("seed", type=int, nargs="?", default=0,
                    help="workload seed (ignored for a JSON file)")
+    p.add_argument("--golden", type=Path, nargs="?", const=GOLDEN,
+                   metavar="DIR", help="write the golden digests to DIR "
+                   "(default tests/golden) instead")
     args = p.parse_args(argv)
+    if (args.config is None) == (args.golden is None):
+        p.error("give a config or --golden, not both")
     logging.getLogger("peskit").setLevel(logging.ERROR)
+    if args.golden is not None:
+        write_golden(args.golden)
+        return
     import workloads
     if args.config in workloads.WORKLOADS:
         doc = workloads.config(args.config, args.seed)

@@ -226,10 +226,10 @@ class MorsePes:
         """Energy in cm^-1 at raw distance rows R."""
         return self.scale * self._raw_energy(R)
 
-    def dataset(self, n_points, seed, a=1.0) -> Dataset:
+    def dataset(self, n_points, seed) -> Dataset:
         rng = np.random.default_rng(seed)
         R = self._sample_distances(n_points, rng)
-        return Dataset(X=transform(R, a), y=self.energy(R))
+        return Dataset(X=transform(R, 1.0), y=self.energy(R))
 
 
 def synth_pes(dims, n_points, seed, kind="morse-sum",

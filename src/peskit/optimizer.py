@@ -284,7 +284,6 @@ def maximize(objective, space: SearchSpace, budget: int, seed: int = 0,
         x, msg = failures[0]
         log.warning("objective failed at %d of %d points; first at %s: %s",
                     len(failures), len(points), np.round(x, 4), msg)
-    values = [float(v) for v in values]
     i = int(np.argmax(values))
     return OptResult(best_point=points[i], best_value=values[i],
                      points=points, values=values)

@@ -2,10 +2,11 @@
 
 The moves are every nonempty matching of R_ZZ gates on m qubits (the
 layer pool) plus one full layer of each single-qubit kind: H, and R_Z and
-R_Y data-encoded as x_i / theta_i. Each iteration appends one move to each
-retained circuit, screens the children by the beta metric at inherited
-parameters, keeps the best ``beam_width`` of the run's
-``bench.ExperimentConfig``, and optimizes the parameters of newly
+R_Y data-encoded as x_i / theta_i. The beam starts as the empty circuit.
+Each iteration appends one move to each retained circuit, screens the
+children by the beta metric at inherited parameters, keeps the best
+``beam_width`` of the run's ``bench.ExperimentConfig`` beside the empty
+circuit (the depth-0 baseline), and optimizes the parameters of newly
 retained circuits by Bayesian optimization of the surrogate objective.
 Screening simulates each parent's prefix, H^m followed by its U_e, once
 on the training inputs at the parameters its children inherit; a child's
@@ -90,8 +91,6 @@ class Candidate:
     log_o: float = -np.inf
     beta_score: float = -np.inf
     refined: bool = False
-    # the depth-0 baseline, kept outside the beam width (M is m + 1 for all)
-    protected: bool = False
     extended_at: bytes | None = None  # params bytes its children were made at
 
     @property
@@ -102,9 +101,6 @@ class Candidate:
 @dataclass
 class BeamState:
     candidates: list
-
-    def best(self) -> Candidate:
-        return min(self.candidates, key=lambda c: c.key)
 
 
 def extend(beam: BeamState, moves):
@@ -156,8 +152,8 @@ def _child_states(prefix, kernel, pv, X):
 
 
 def screen(candidates, data, cfg) -> BeamState:
-    """Score unrefined candidates at inherited parameters; keep the top
-    ``cfg.beam_width``.
+    """Score unrefined candidates at inherited parameters; keep the empty
+    circuit (the depth-0 baseline) and the top ``cfg.beam_width`` of the rest.
 
     The candidates are distinct layer sequences, as ``extend`` makes them.
     Consecutive children of one parent share its prefix state, which is
@@ -189,9 +185,8 @@ def screen(candidates, data, cfg) -> BeamState:
         log.warning("scoring failed for %d candidates; first %s",
                     len(failures), failures[0])
     pool = sorted(candidates, key=lambda c: c.key)
-    protected = [c for c in pool if c.protected]
-    rest = [c for c in pool if not c.protected]
-    return BeamState(candidates=protected + rest[:cfg.beam_width])
+    return BeamState(candidates=[c for c in pool if not c.layers]
+                     + [c for c in pool if c.layers][:cfg.beam_width])
 
 
 def _optimize(c: Candidate, data, budget, tag, cfg, seed):
@@ -223,39 +218,32 @@ def search_circuit(data, cfg, seed):
     It reads ``beam_width``, ``refine_budget``, ``final_budget``,
     ``max_depth`` and ``sigma_n`` of ``cfg`` and seeds every fit from the
     cell ``seed``. The search fits ``data.y`` as given; a caller passes
-    z-scored targets, as ``bench._run_cell`` does. The depth-0 circuit (no
-    appended layers) is always scored as the baseline and retained outside
-    the beam width. Each trace row holds the best circuit's layer string,
-    logO as score and beta as criterion.
+    z-scored targets, as ``bench._run_cell`` does. The beam starts as the
+    empty circuit (no appended layers), which ``screen`` keeps as the
+    baseline outside the beam width. Each trace row holds the best
+    circuit's layer string, logO as score, beta as criterion and the
+    number of candidates the step screened.
     """
     m = data.X.shape[1]
     moves = search_moves(m)
     init = build_variable_ansatz(m, ()).default_params().values
 
-    root = Candidate(layers=(), params=init, protected=True)
-    initial = [root] + extend(BeamState([root]), moves)
-
-    def row(iteration, n_candidates, best, t0):
-        return TraceRow(iteration, n_candidates, canonical_layers(best.layers),
-                        best.log_o, best.beta_score, m + 1,
-                        time.perf_counter() - t0)
-
-    trace = SearchTrace()
-    t0 = time.perf_counter()
-    beam = refine(screen(initial, data, cfg), data, cfg, seed)
-    best = beam.best()
-    trace.append(row(0, len(initial), best, t0))
-
-    for iteration in range(1, cfg.max_depth):
+    beam = BeamState([Candidate(layers=(), params=init)])
+    trace, best = SearchTrace(), None
+    for iteration in range(cfg.max_depth):
         t0 = time.perf_counter()
-        children = extend(beam, moves)
-        beam = refine(screen(beam.candidates + children, data, cfg),
-                      data, cfg, seed)
-        new_best = beam.best()
-        trace.append(row(iteration, len(children), new_best, t0))
-        improvement = new_best.beta_score - best.beta_score
+        pool = beam.candidates + extend(beam, moves)
+        n_screened = sum(not c.refined for c in pool)
+        beam = refine(screen(pool, data, cfg), data, cfg, seed)
+        new_best = beam.candidates[0]  # refine sorts by the unique key
+        trace.append(TraceRow(iteration, n_screened,
+                              canonical_layers(new_best.layers),
+                              new_best.log_o, new_best.beta_score, m + 1,
+                              time.perf_counter() - t0))
+        converged = (best is not None
+                     and new_best.beta_score - best.beta_score < EPS_BETA)
         best = new_best
-        if improvement < EPS_BETA:
+        if converged:
             break
 
     # final re-optimization of the winner at the larger budget

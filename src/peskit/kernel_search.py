@@ -1,11 +1,11 @@
 """Greedy compositional construction of classical kernels.
 
-Each iteration combines the incumbent with every base kernel as a
-coefficient-weighted sum and product, optimizes every candidate's
-parameters by Bayesian optimization of the log marginal likelihood, and
-keeps the candidate with the largest BIC. The incumbent is retained in
-every candidate pool, so the best-BIC trace never decreases. Budgets,
-depth and noise come from the run's ``bench.ExperimentConfig``.
+Iteration 0 scores the base kernels alone; each later one combines the
+incumbent with every base kernel as a coefficient-weighted sum and
+product. Every candidate's parameters are fitted by Bayesian optimization
+of the log marginal likelihood, and the largest BIC wins. The incumbent
+keeps its frozen score in every later pool, so the best-BIC trace never
+decreases. Budgets, depth and noise come from ``bench.ExperimentConfig``.
 """
 
 from __future__ import annotations
@@ -82,31 +82,21 @@ def search_classical(data, cfg, seed, bases=DEFAULT_BASES):
     dists = pdist(X)
     p_scale = float(np.median(dists)) if dists.size else 1.0
 
-    def score_pool(candidates, incumbent_scored):
+    trace, best = SearchTrace(), None
+    for iteration in range(cfg.max_depth):
         t0 = time.perf_counter()
-        scored = []
-        for expr in candidates:
-            if incumbent_scored is not None and expr is incumbent_scored.expr:
-                scored.append(incumbent_scored)  # frozen score, not re-optimized
-            else:
-                scored.append(_optimize_candidate(
-                    expr, X, y, cfg, seed, cfg.classical_budget, p_scale))
-        best = min(scored, key=lambda s: s.key)
-        return best, len(candidates), time.perf_counter() - t0
-
-    trace = SearchTrace()
-    pool = [new_leaf(b, coef=1.0) for b in bases]
-    best, n_cand, dt = score_pool(pool, None)
-    trace.append(TraceRow(0, n_cand, serialize(best.expr), best.logL,
-                          best.bic, best.M, dt))
-
-    for iteration in range(1, cfg.max_depth):
-        pool = expand(best.expr, bases)
-        new_best, n_cand, dt = score_pool(pool, best)
-        trace.append(TraceRow(iteration, n_cand, serialize(new_best.expr),
-                              new_best.logL, new_best.bic, new_best.M, dt))
-        improvement = new_best.bic - best.bic
-        converged = improvement < max(EPS_REL * abs(best.bic), EPS_ABS)
+        pool = ([new_leaf(b, coef=1.0) for b in bases] if best is None
+                else expand(best.expr, bases))
+        scored = [best if best is not None and expr is best.expr
+                  else _optimize_candidate(expr, X, y, cfg, seed,
+                                           cfg.classical_budget, p_scale)
+                  for expr in pool]
+        new_best = min(scored, key=lambda s: s.key)
+        trace.append(TraceRow(iteration, len(pool), serialize(new_best.expr),
+                              new_best.logL, new_best.bic, new_best.M,
+                              time.perf_counter() - t0))
+        converged = best is not None and new_best.bic - best.bic < max(
+            EPS_REL * abs(best.bic), EPS_ABS)
         best = new_best
         if converged:
             break

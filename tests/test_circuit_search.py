@@ -95,16 +95,15 @@ def _search_data(n=40, seed=0):
     return replace(data, y=standardize(data.y)[0])
 
 
-def test_screen_retains_top_m_plus_protected():
+def test_screen_retains_empty_circuit_plus_top_m():
     data = _search_data()
     cfg = search_config(beam_width=2, sigma_n=0.1)
     cands = [_cand(()), _cand((((0, 1),),)), _cand((((0, 2),),)),
              _cand((((1, 2),),))]
-    cands[0].protected = True
     beam = screen(cands, data, cfg)
-    assert len(beam.candidates) == 3  # protected baseline + top 2
-    assert any(c.protected for c in beam.candidates)
-    rest = [c for c in beam.candidates if not c.protected]
+    assert len(beam.candidates) == 3  # empty-circuit baseline + top 2
+    assert any(not c.layers for c in beam.candidates)
+    rest = [c for c in beam.candidates if c.layers]
     assert rest[0].beta_score >= rest[1].beta_score
 
 
@@ -142,9 +141,8 @@ def test_screen_scores_equal_per_candidate_oracle():
     data = _search_data()
     cfg = search_config(sigma_n=0.1)
     moves = search_moves(3)
-    # iteration 0: the protected baseline and every depth-1 circuit
+    # iteration 0: the empty-circuit baseline and every depth-1 circuit
     seeds = [_cand(())] + [_cand((move,)) for move in moves]
-    seeds[0].protected = True
     # a later iteration: refined parents at distinct parameters, children
     # interleaved with the parents they came from
     parents = [_cand(layers) for layers in _PARENTS]

@@ -59,7 +59,7 @@ def test_rows_match_the_golden_digests(tmp_path):
     golden = sorted(path.name for path in GOLDEN.glob("*.digest.txt"))
     assert golden == sorted(path.name
                             for path in tmp_path.glob("*.digest.txt"))
-    assert len(golden) == 3
+    assert golden
     machine = json.loads((GOLDEN / "machine.json").read_text())
     here = json.loads((tmp_path / "machine.json").read_text())
     for name in golden:

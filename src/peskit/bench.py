@@ -276,8 +276,13 @@ def _run_cells(cells, cfg):
     return [_run_cell(*c, cfg) for c in cells]
 
 
-def _collect(cells, cfg):
-    """Sorted rows; each cell's trace and winner keyed by the cell's name."""
+def _collect(cfg, data, sizes, split):
+    """Run every family x size x seed cell of ``cfg`` on ``data``, in that
+    order, each on the split ``split(size, seed)`` makes; sorted rows, and
+    each cell's trace and winner keyed by the cell's name."""
+    cells = [(family, data, split(size, seed), size, seed)
+             for family in cfg.families for size in sizes
+             for seed in cfg.seeds]
     results = _run_cells(cells, cfg)
     table = ResultTable()
     traces, winners = {}, {}
@@ -302,27 +307,16 @@ def run_interpolation(config: ExperimentConfig):
     for n_train in config.n_train:
         if not 0 < n_train < data.n:
             raise ConfigError(f"n_train={n_train} must be in (0, {data.n})")
-    cells = []
-    for family in config.families:
-        for n_train in config.n_train:
-            for seed in config.seeds:
-                split = split_random(data, n_train, seed=stable_seed("interp", n_train, seed))
-                cells.append((family, data, split, n_train, seed))
-    return _collect(cells, config)
+    return _collect(config, data, config.n_train, lambda n, seed: split_random(
+        data, n, seed=stable_seed("interp", n, seed)))
 
 
 def run_extrapolation(config: ExperimentConfig):
     """Energy-threshold splits: train below, test on everything above."""
     data = load_dataset(config.dataset)
-    cells = []
-    for family in config.families:
-        for frac in config.thresholds:
-            for seed in config.seeds:
-                split = split_energy_threshold(
-                    data, frac, config.n_train_extrap,
-                    seed=stable_seed("extrap", frac, seed))
-                cells.append((family, data, split, frac, seed))
-    return _collect(cells, config)
+    return _collect(config, data, config.thresholds, lambda frac, seed: (
+        split_energy_threshold(data, frac, config.n_train_extrap,
+                               seed=stable_seed("extrap", frac, seed))))
 
 
 # ---------------------------------------------------------------------------

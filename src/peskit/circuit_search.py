@@ -8,10 +8,10 @@ children by the beta metric at inherited parameters, keeps the best
 ``beam_width`` of the run's ``bench.ExperimentConfig`` beside the empty
 circuit (the depth-0 baseline), and optimizes the parameters of newly
 retained circuits by Bayesian optimization of the surrogate objective.
-Screening simulates each parent's prefix, H^m followed by its U_e, once
-on the training inputs at the parameters its children inherit; a child's
-states are a copy of that prefix with the child's new layer and the final
-R_Y layer applied.
+Screening builds each parent's prefix, H^m followed by its U_e, once on
+the training inputs at the parameters its children inherit, with
+``statevectors``; a child's states are a copy of that prefix with its new
+layer and the final R_Y layer applied by ``apply_layers``.
 The single-qubit layers reuse the scales theta_i and all R_ZZ gates share
 one scale Theta, so no move adds a parameter and the beta penalty is
 depth-independent.
@@ -37,7 +37,7 @@ from .gp import (KernelEvaluationError, NotPositiveDefiniteError, SearchTrace,
                  TraceRow, beta, log_marginal_likelihood)
 from .optimizer import SENTINEL, maximize_logl, stable_seed
 from .quantum import (QuantumKernel, QubitLayer, apply_layers,
-                      build_variable_ansatz, simulate)
+                      build_variable_ansatz, statevectors)
 
 __all__ = ["BeamState", "Candidate", "layer_pool", "search_moves", "extend",
            "screen", "refine", "search_circuit", "canonical_layers"]
@@ -130,7 +130,7 @@ def extend(beam: BeamState, moves):
 @dataclass(frozen=True)
 class _ChildKernel(QuantumKernel):
     """A screened child's kernel, valid on the training inputs only: its
-    states there were built from its parent's prefix."""
+    states there, a (2^m, B) array, were built from its parent's prefix."""
 
     training_states: np.ndarray = field(compare=False, repr=False)
 
@@ -138,30 +138,16 @@ class _ChildKernel(QuantumKernel):
         return self.training_states
 
 
-def _prefix_states(kernel, pv, X):
-    """States of ``kernel`` without its last two layers (a child's new
-    layer and R_Y^m): H^m and its parent's U_e, amplitude axis first."""
-    return simulate(kernel.m, kernel.layers[:-2], pv, X)
-
-
-def _child_states(prefix, kernel, pv, X):
-    """States of ``kernel`` from a copy of its ``_prefix_states``, one row
-    per input as ``statevectors`` gives them."""
-    psi = apply_layers(prefix.copy(), kernel.layers[-2:], pv, X)
-    return np.ascontiguousarray(psi.T)
-
-
 def screen(candidates, data, cfg) -> BeamState:
     """Score unrefined candidates at inherited parameters; keep the empty
     circuit (the depth-0 baseline) and the top ``cfg.beam_width`` of the rest.
 
     The candidates are distinct layer sequences, as ``extend`` makes them.
-    Consecutive children of one parent share its prefix state, which is
-    simulated once. A typed GP failure scores SENTINEL; one warning counts
-    a call's failures.
+    Consecutive children of one parent share its prefix state, which
+    ``statevectors`` builds once. A typed GP failure scores SENTINEL; one
+    warning counts a call's failures.
     """
     X, y = data.X, data.y
-    N = y.size
     failures = []
     prefix_key = prefix = None
     for c in candidates:
@@ -170,9 +156,10 @@ def screen(candidates, data, cfg) -> BeamState:
             pv = circuit.default_params().with_values(c.params)
             parent = (circuit.layers[:-2], c.params.tobytes())
             if parent != prefix_key:
-                prefix_key, prefix = parent, _prefix_states(circuit, pv, X)
-            kernel = _ChildKernel(circuit.m, circuit.layers,
-                                  _child_states(prefix, circuit, pv, X))
+                prefix_key = parent
+                prefix = statevectors(circuit.m, parent[0], pv, X)
+            kernel = _ChildKernel(circuit.m, circuit.layers, apply_layers(
+                prefix.copy(), circuit.layers[-2:], pv, X))
             try:
                 c.log_o = kernel.objective(log_marginal_likelihood(
                     kernel, pv, X, y, sigma_n=cfg.sigma_n))
@@ -180,7 +167,7 @@ def screen(candidates, data, cfg) -> BeamState:
                 failures.append(f"[{canonical_layers(c.layers)}]: {exc}")
                 c.log_o = SENTINEL
             del kernel  # free this child's states before the next is built
-            c.beta_score = beta(c.log_o, X.shape[1] + 1, N)
+            c.beta_score = beta(c.log_o, pv.size, y.size)
     if failures:
         log.warning("scoring failed for %d candidates; first %s",
                     len(failures), failures[0])
@@ -205,7 +192,7 @@ def refine(beam: BeamState, data, cfg, seed) -> BeamState:
             continue
         res = _optimize(c, data, cfg.refine_budget, "circuit", cfg, seed)
         c.params, c.log_o = res.best_point, res.best_value
-        c.beta_score = beta(c.log_o, data.X.shape[1] + 1, data.y.size)
+        c.beta_score = beta(c.log_o, c.params.size, data.y.size)
         c.refined = True
     beam.candidates.sort(key=lambda c: c.key)
     return beam
@@ -238,8 +225,8 @@ def search_circuit(data, cfg, seed):
         new_best = beam.candidates[0]  # refine sorts by the unique key
         trace.append(TraceRow(iteration, n_screened,
                               canonical_layers(new_best.layers),
-                              new_best.log_o, new_best.beta_score, m + 1,
-                              time.perf_counter() - t0))
+                              new_best.log_o, new_best.beta_score,
+                              new_best.params.size, time.perf_counter() - t0))
         converged = (best is not None
                      and new_best.beta_score - best.beta_score < EPS_BETA)
         best = new_best

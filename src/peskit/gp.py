@@ -339,10 +339,11 @@ def fit(kernel: KernelFn, params: ParamVector, X, y,
     Gram is assembled once, its diagonal shifted in place, and factored in
     its own memory by scipy's LAPACK ``dpotrf`` (``_cholesky_with_jitter``).
 
-    A kernel with ``n_features`` r < N is fitted in weight space when
+    A kernel with ``n_features`` r < N is fitted in weight space for any
     sigma_n > 0 (see ``_fit_weight_space``); its features are only built
-    then. At sigma_n = 0 the noise is the bare jitter, too small for the
-    weight-space quadratic term, and the N x N path is kept.
+    then. Only sigma_n = 0, a bare-jitter noise, keeps the N x N path. Near
+    sigma_n^2 ~ jitter the weight-space solve is ill-conditioned: at
+    sigma_n = 1e-6 a one-ulp jitter change moves a 64-feature RMSE 1.5e-5.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()

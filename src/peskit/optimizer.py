@@ -182,11 +182,18 @@ def _cholesky_each(K):
     return L, ok
 
 
+def _distances(A, B):
+    """Euclidean distances between the rows of ``A`` and of ``B``; with
+    ``B is A``, ``A @ B.T`` is numpy's symmetric product."""
+    return np.sqrt(np.maximum(
+        np.sum(A ** 2, axis=1)[:, None] + np.sum(B ** 2, axis=1)[None, :]
+        - 2.0 * A @ B.T, 0.0))
+
+
 def _surrogate_fit(Z, y):
     """Fit a scalar lengthscale by marginal likelihood over a small grid."""
     n = Z.shape[0]
-    sq = np.sum(Z ** 2, axis=1)
-    D = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * Z @ Z.T, 0.0))
+    D = _distances(Z, Z)
     K = _matern52(D / _LENGTHSCALES[:, None, None])
     K.reshape(_LENGTHSCALES.size, n * n)[:, ::n + 1] += 1e-8  # nugget
     L, ok = _cholesky_each(K)
@@ -205,10 +212,7 @@ def _surrogate_fit(Z, y):
 
 
 def _expected_improvement(Zcand, Z, L, alpha, ell, f_best):
-    d = np.sqrt(np.maximum(
-        np.sum(Zcand ** 2, axis=1)[:, None] + np.sum(Z ** 2, axis=1)[None, :]
-        - 2.0 * Zcand @ Z.T, 0.0))
-    Ks = _matern52(d / ell)
+    Ks = _matern52(_distances(Zcand, Z) / ell)
     mu = Ks @ alpha
     v = _solve_lower(L, Ks.T)
     var = np.maximum(1.0 - np.sum(v ** 2, axis=0), 1e-12)

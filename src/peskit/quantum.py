@@ -5,12 +5,12 @@ is the least significant bit of the basis index). Data vectors are encoded
 into gate angles; the kernel is the squared overlap of the two encoded
 states, computed from cached statevectors.
 
-The simulator holds a batch of B states amplitude axis first, shape
-(2^m, B), one state per column: a gate on any qubit then runs its inner
-loops along the contiguous batch, and each column's angle broadcasts along
-it. ``statevectors`` hands the states on one row per input, (B, 2^m).
-Every gate runs through ``apply_layers``, one whole circuit layer at a
-time, with the angles that layer encodes from the inputs.
+A batch of B states has one form from simulator to Gram, amplitude axis
+first, (2^m, B): a gate on any qubit runs its inner loops along the
+contiguous batch, and each column's angle broadcasts along it. Every gate
+runs through ``apply_layers``, one whole circuit layer at a time. Only
+``QuantumKernel.gram`` and ``features`` choose how the linear algebra
+reads the states.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "QuantumKernel",
     "zero_state",
     "apply_layers",
-    "simulate",
     "statevectors",
     "build_fixed_ansatz",
     "build_variable_ansatz",
@@ -69,11 +68,7 @@ def _gates(layer, m):
 
 
 def zero_state(m, batch):
-    """|0...0> as amplitudes of shape (2^m, batch), one state per column.
-
-    The amplitude axis comes first in every state array of this module, so
-    a gate's inner loops run along the contiguous batch axis.
-    """
+    """|0...0> as amplitudes of shape (2^m, batch), one state per column."""
     psi = np.zeros((2 ** m, batch), dtype=complex)
     psi[0] = 1.0
     return psi
@@ -158,9 +153,9 @@ def apply_layers(psi, layers, params: ParamVector, X) -> np.ndarray:
     return psi
 
 
-def simulate(m, layers, params: ParamVector, X) -> np.ndarray:
+def statevectors(m, layers, params: ParamVector, X) -> np.ndarray:
     """Encoded states U(x)|0...0> of the m-qubit circuit ``layers`` for
-    each input row, amplitude axis first: shape (2^m, B).
+    each input row, amplitude axis first: a C-contiguous (2^m, B) array.
 
     The leading H layers (H^m in both ansaetze) are simulated once on one
     column, which is then repeated B times.
@@ -172,12 +167,6 @@ def simulate(m, layers, params: ParamVector, X) -> np.ndarray:
     head = apply_layers(zero_state(m, batch=1), layers[:k], params, X)
     return apply_layers(np.repeat(head, X.shape[0], axis=1), layers[k:],
                         params, X)
-
-
-def statevectors(m, layers, params: ParamVector, X) -> np.ndarray:
-    """The states of ``simulate``, one row per input: a C-contiguous
-    (B, 2^m) array, the form every Gram and feature map reads."""
-    return np.ascontiguousarray(simulate(m, layers, params, X).T)
 
 
 @dataclass(frozen=True)
@@ -232,7 +221,8 @@ class QuantumKernel(KernelFn):
                            "params": params.values.tolist()})
 
     def states(self, X, params: ParamVector) -> np.ndarray:
-        """The encoded states of the rows of ``X``, from which ``gram`` works."""
+        """The encoded states of the rows of ``X``, one column each, from
+        which ``gram`` and ``features`` work."""
         return statevectors(self.m, self.layers, params, X)
 
     @property
@@ -246,7 +236,9 @@ class QuantumKernel(KernelFn):
         The columns are |psi_k|^2, then sqrt(2) Re(psi_k conj(psi_l)) and
         sqrt(2) Im(psi_k conj(psi_l)) for k < l.
         """
-        V = self.states(X, params)
+        # one row per input: numpy's complex multiply takes another SIMD
+        # loop on strided operands, which moves the features' last bits
+        V = np.ascontiguousarray(self.states(X, params).T)
         d = V.shape[1]
         k, l = np.triu_indices(d, 1)
         rho = V[:, k] * V[:, l].conj()
@@ -255,8 +247,8 @@ class QuantumKernel(KernelFn):
                               axis=1)
 
     def gram(self, X, X2, params: ParamVector) -> np.ndarray:
-        V1 = self.states(X, params)
-        V2 = V1 if X2 is X else self.states(X2, params)
+        V1 = self.states(X, params).T
+        V2 = V1 if X2 is X else self.states(X2, params).T
         K = np.abs(V1 @ V2.conj().T)
         K **= 2
         return K

@@ -88,21 +88,18 @@ def _apply(psi, kind, qubits, params, X, adjoint=False):
 
 
 def replay_states(kernel, params, X):
-    """Encoded states U(x)|0...0> for each row of ``X``; shape (B, 2^m).
-
-    The replay runs on one column per row, the simulator's layout, and
-    returns the states one row per input, as ``statevectors`` does.
-    """
+    """Encoded states U(x)|0...0> for each row of ``X``, one column per
+    row as ``statevectors`` gives them: shape (2^m, B)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     psi = zero_state(kernel.m, X.shape[0])
     for kind, qubits in gates(kernel):
         _apply(psi, kind, qubits, params, X)
-    return np.ascontiguousarray(psi.T)
+    return psi
 
 
 def statevector_for(kernel, params, x):
     """Encoded state for a single input vector."""
-    return replay_states(kernel, params, np.atleast_2d(x))[0]
+    return replay_states(kernel, params, np.atleast_2d(x))[:, 0]
 
 
 def fidelity_kernel(kernel, params, x, xp):

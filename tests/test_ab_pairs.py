@@ -17,9 +17,9 @@ def _copy(tmp_path, side, body):
     return tmp_path / side
 
 
-def _result(correct, failed=0):
+def _result(correct, failed=0, wall_s=2.5):
     return json.dumps({"correct": correct, "attempted": 6, "failed": failed,
-                       "metrics": {"wall_s": {"value": 2.5},
+                       "metrics": {"wall_s": {"value": wall_s},
                                    "setup_s": {"value": 0.4}}})
 
 
@@ -45,9 +45,14 @@ def test_an_incorrect_run_names_its_failed_checks(tmp_path):
 
 def test_failed_cells_reach_the_summary(tmp_path):
     parent = _copy(tmp_path, "parent", f"print({_result(True)!r})\n")
-    change = _copy(tmp_path, "change", f"print({_result(True, failed=1)!r})\n")
+    change = _copy(tmp_path, "change",
+                   f"print({_result(True, failed=1, wall_s=2.75)!r})\n")
     run = ab_pairs._run(change, "desk", 0, 0)
-    assert run == {"wall_s": 2.5, "setup_s": 0.4, "failed": 1, "attempted": 6}
+    assert run == {"wall_s": 2.75, "setup_s": 0.4, "failed": 1,
+                   "attempted": 6}
     pairs = [(ab_pairs._run(parent, "desk", 0, 0), run)] * 2
-    assert ab_pairs.summarize(pairs)[-1] == \
-        "failed cells: parent 0/12  change 2/12"
+    lines = ab_pairs.summarize(pairs, {"wall_s": 0.25, "setup_s": 0.5})
+    assert lines[0].startswith("wall_s: parent median 2.500")
+    assert lines[0].endswith("relative median change +0.100 vs bound 0.25")
+    assert lines[1].endswith("relative median change +0.000 vs bound 0.5")
+    assert lines[-1] == "failed cells: parent 0/12  change 2/12"

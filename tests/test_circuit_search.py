@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from peskit import circuit_search
-from peskit.circuit_search import (BeamState, Candidate, _child_states,
-                                   _prefix_states, canonical_layers, extend,
-                                   layer_pool, refine, screen, search_circuit,
-                                   search_moves)
+from peskit.circuit_search import (BeamState, Candidate, canonical_layers,
+                                   extend, layer_pool, refine, screen,
+                                   search_circuit, search_moves)
 from peskit.data import standardize, synth_pes
 from peskit.gp import NotPositiveDefiniteError
 from peskit.optimizer import SENTINEL
-from peskit.quantum import QubitLayer, build_variable_ansatz, statevectors
+from peskit.quantum import (QubitLayer, apply_layers, build_variable_ansatz,
+                            statevectors)
 from screen_oracle import involution_count, screen_scores
 from search_config import search_config
 
@@ -129,12 +129,31 @@ def test_prefix_built_child_states_equal_full_simulation(m):
         for move in search_moves(m):
             kernel = build_variable_ansatz(m, parent + (move,))
             if prefix is None:
-                prefix = _prefix_states(kernel, pv, X)
-            states = _child_states(prefix, kernel, pv, X)
-            assert states.flags.c_contiguous  # one row per input
+                prefix = statevectors(m, kernel.layers[:-2], pv, X)
+            states = apply_layers(prefix.copy(), kernel.layers[-2:], pv, X)
+            assert states.flags.c_contiguous  # one column per input
             assert np.array_equal(states, statevectors(m, kernel.layers, pv, X))
         # building the children left the shared prefix as it was
-        assert np.array_equal(prefix, _prefix_states(kernel, pv, X))
+        assert np.array_equal(prefix,
+                              statevectors(m, kernel.layers[:-2], pv, X))
+
+
+def test_screen_builds_each_parent_prefix_once(monkeypatch):
+    parents = [_cand(layers) for layers in _PARENTS[:2]]
+    children = extend(BeamState(candidates=parents), search_moves(3))
+    assert len(children) == 2 * len(search_moves(3))
+    built = []
+    real = circuit_search.statevectors
+
+    def statevectors(m, layers, params, X):
+        built.append(layers)
+        return real(m, layers, params, X)
+
+    monkeypatch.setattr(circuit_search, "statevectors", statevectors)
+    screen(children, _search_data(), search_config(sigma_n=0.1))
+    # the prefix of a parent's children is H^m and the parent's layers
+    assert built == [build_variable_ansatz(3, p.layers).layers[:-1]
+                     for p in parents]
 
 
 def test_screen_scores_equal_per_candidate_oracle():

@@ -10,8 +10,8 @@ import pytest
 from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
-from peskit.circuit_search import (Candidate, _ChildKernel, _child_states,
-                                   _prefix_states, screen, search_moves)
+from peskit.circuit_search import (Candidate, _ChildKernel, screen,
+                                   search_moves)
 from peskit.data import Dataset
 from peskit.gp import (_GRAM_BLOCK, DEFAULT_JITTER, JITTER_CAP,
                        KernelEvaluationError, KernelFn,
@@ -24,8 +24,9 @@ from peskit.kernels import (_MATERN_NU, ClassicalKernel, Leaf, Prod, Sum,
                             _matern_r, new_leaf, param_vector, with_params)
 from peskit import gp as gp_module, nngp
 from peskit.nngp import NNGPKernel
-from peskit.quantum import (QuantumKernel, QubitLayer, build_fixed_ansatz,
-                            build_variable_ansatz, statevectors)
+from peskit.quantum import (QuantumKernel, QubitLayer, apply_layers,
+                            build_fixed_ansatz, build_variable_ansatz,
+                            statevectors)
 from search_config import search_config
 
 
@@ -283,7 +284,9 @@ def _oracle_gram(kernel, params, X):
     if isinstance(kernel, NNGPKernel):
         return _oracle_gram_nngp(kernel.depth, params.values, X)
     if isinstance(kernel, QuantumKernel):
-        V = statevectors(kernel.m, kernel.layers, params, X)
+        # a copy, one row per input: the kernel's Gram reads a view
+        V = np.ascontiguousarray(
+            statevectors(kernel.m, kernel.layers, params, X).T)
         return np.abs(V @ V.conj().T) ** 2
     return kernel.gram(X, X, params)
 
@@ -450,7 +453,8 @@ def test_nngp_arcsin_check_sees_later_blocks(monkeypatch):
 
 def _child_kernel(kernel, pv, X):
     """The kernel ``screen`` scores for ``kernel`` as a child on ``X``."""
-    states = _child_states(_prefix_states(kernel, pv, X), kernel, pv, X)
+    prefix = statevectors(kernel.m, kernel.layers[:-2], pv, X)
+    states = apply_layers(prefix, kernel.layers[-2:], pv, X)
     return _ChildKernel(kernel.m, kernel.layers, states)
 
 

@@ -338,7 +338,7 @@ def test_variable_ansatz_single_qubit_layers():
             phi = x[qubits[0]] / theta[qubits[0]]
         want = dense_gate(kind, qubits, 3, phi) @ want
     assert np.max(np.abs(statevector_for(kernel, pv, x) - want)) < 1e-12
-    assert np.max(np.abs(statevectors(3, kernel.layers, pv, x)[0]
+    assert np.max(np.abs(statevectors(3, kernel.layers, pv, x)[:, 0]
                          - want)) < 1e-12
 
 
@@ -355,9 +355,9 @@ def test_statevectors_shape_and_dim_check():
     kernel = build_fixed_ansatz(2)
     pv = kernel.default_params()
     V = statevectors(2, kernel.layers, pv, rng.uniform(0, 1, (7, 2)))
-    assert V.shape == (7, 4)
-    assert V.flags.c_contiguous  # one row per input, as the Gram reads it
-    assert np.allclose(np.linalg.norm(V, axis=1), 1.0)
+    assert V.shape == (4, 7)
+    assert V.flags.c_contiguous  # one column per input, batch contiguous
+    assert np.allclose(np.linalg.norm(V, axis=0), 1.0)
     with pytest.raises(ValueError):
         statevectors(2, kernel.layers, pv, rng.uniform(0, 1, (7, 3)))
 
@@ -387,5 +387,5 @@ def test_head_broadcast_states_equal_full_replay(B):
             pv = kernel.default_params().with_values(
                 rng.uniform(0.2, 4.0, m + 1))
             V = statevectors(m, kernel.layers, pv, X)
-            assert V.shape == (B, 2 ** m) and V.flags.c_contiguous
+            assert V.shape == (2 ** m, B) and V.flags.c_contiguous
             assert np.array_equal(V, replay_states(kernel, pv, X))

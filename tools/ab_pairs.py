@@ -14,8 +14,10 @@ Each pair runs ``perfbench/run.py --trace 0`` once per side for the
 benchmark's run length (``run_seconds`` in ``BENCHMARK.json``), the parent
 first in pairs 1, 3, ... and the change first in pairs 2, 4, .... The
 script prints every pair, then per end-to-end metric the medians, the
-quartiles and how many pairs the change won (lower is better, ties count
-for neither side), then each side's failed cells out of those attempted.
+quartiles, how many pairs the change won (lower is better, ties count
+for neither side) and the change's median relative to the parent's, next
+to the metric's ``bound`` in ``BENCHMARK.json``, then each side's failed
+cells out of those attempted.
 A run that exits nonzero or reports ``correct: false`` stops the script
 with the side, the exit code and the tail of the run's stderr, where
 run.py writes its traceback or its ``check failed: ...`` lines. It only
@@ -81,8 +83,9 @@ def _quartiles(values):
     return q1, q3
 
 
-def summarize(pairs):
-    """Per metric: the medians, quartiles and the change's win count."""
+def summarize(pairs, bounds):
+    """Per metric: the medians, quartiles, the change's win count and its
+    relative median change beside the metric's end-to-end ``bounds``."""
     lines = []
     for name in METRICS:
         parent = [p[name] for p, _ in pairs]
@@ -90,13 +93,15 @@ def summarize(pairs):
         wins = sum(c < p for p, c in zip(parent, change))
         losses = sum(c > p for p, c in zip(parent, change))
         (p1, p3), (c1, c3) = _quartiles(parent), _quartiles(change)
-        gap = statistics.median(parent) - statistics.median(change)
+        p_med, c_med = statistics.median(parent), statistics.median(change)
         lines.append(
-            f"{name}: parent median {statistics.median(parent):.3f} "
+            f"{name}: parent median {p_med:.3f} "
             f"[q1 {p1:.3f}, q3 {p3:.3f}]  change median "
-            f"{statistics.median(change):.3f} [q1 {c1:.3f}, q3 {c3:.3f}]  "
-            f"gap {gap:+.3f} vs parent IQR {p3 - p1:.3f}  "
-            f"change wins {wins}/{len(pairs)} (loses {losses})")
+            f"{c_med:.3f} [q1 {c1:.3f}, q3 {c3:.3f}]  "
+            f"gap {p_med - c_med:+.3f} vs parent IQR {p3 - p1:.3f}  "
+            f"change wins {wins}/{len(pairs)} (loses {losses})  "
+            f"relative median change {(c_med - p_med) / p_med:+.3f} "
+            f"vs bound {bounds[name]:g}")
     lines.append("failed cells: " + "  ".join(
         f"{side} {sum(run['failed'] for run in runs)}/"
         f"{sum(run['attempted'] for run in runs)}"
@@ -115,7 +120,9 @@ def main(argv=None):
     if args.pairs < 1:
         p.error("--pairs must be at least 1")
     root = Path(_git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((root / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="ab_pairs-") as tmp:
         workdir = Path(tmp)
         parent, change = workdir / "parent", workdir / "change"
@@ -133,7 +140,7 @@ def main(argv=None):
                 for name in METRICS), flush=True)
     print(f"{args.workload} seed {args.seed}, {args.pairs} pairs, "
           f"{seconds:g} s per run, parent {args.parent}:")
-    print("\n".join(summarize(pairs)))
+    print("\n".join(summarize(pairs, bounds)))
 
 
 if __name__ == "__main__":
